@@ -244,3 +244,53 @@ def test_bench_hungarian_matching(benchmark, dense_graph):
 def test_bench_greedy_matching(benchmark, dense_graph):
     result = benchmark(greedy_matching, dense_graph)
     assert isinstance(result, list)
+
+
+def test_optimal_matching_cost_paper_scale():
+    """Acceptance gate: the optimal arm within 10x of Gale-Shapley.
+
+    On a real minute-15 graph of the paper's 259 x 173 scenario (the
+    first minute with data in a cold start), times both matchers best-of
+    ``reps`` back to back and asserts the ratio; the optimal matcher's
+    total weight must also equal ``scipy.optimize.linear_sum_assignment``
+    on the capacity-expanded weight matrix.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    reps = 7
+    clear_ephemeris_cache()
+    fleet = build_paper_fleet(259, seed=7)
+    for sat in fleet:
+        sat.generate_data(EPOCH - timedelta(hours=1), 3600.0)
+    network = satnogs_like_network(173, seed=11)
+    scheduler = DownlinkScheduler(
+        fleet, network, LatencyValue(), weather=build_paper_weather(),
+        ephemeris=shared_ephemeris_table(fleet, EPOCH, 16, 60.0),
+    )
+    graph = scheduler.contact_graph(EPOCH + timedelta(minutes=15))
+    assert graph.num_edges > 500
+
+    def best_of(matcher):
+        best = float("inf")
+        for _ in range(reps):
+            start = time.perf_counter()
+            result = matcher(graph)
+            best = min(best, time.perf_counter() - start)
+        return best, result
+
+    elapsed_stable, _ = best_of(gale_shapley)
+    elapsed_optimal, assignments = best_of(max_weight_matching)
+
+    weight = graph.weight_matrix()
+    rows, cols = linear_sum_assignment(weight, maximize=True)
+    oracle = weight[rows, cols].sum()
+    total = sum(a.weight for a in assignments)
+    assert total == pytest.approx(oracle, rel=1e-9)
+
+    ratio = elapsed_optimal / elapsed_stable
+    print(
+        f"\nmatching 259x173 minute 15 ({graph.num_edges} edges): stable "
+        f"{elapsed_stable * 1e3:.2f} ms, optimal "
+        f"{elapsed_optimal * 1e3:.2f} ms, ratio {ratio:.1f}x"
+    )
+    assert ratio <= 10.0

@@ -126,6 +126,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         duration_s=args.hours * 3600.0, observability=observability,
         tenants=tenants, weather=args.weather,
         storm_rate=args.storm_rate, storm_speed=args.storm_speed,
+        matcher=args.matcher,
     )
     if args.diversity > 0:
         common.update(execution_mode="diversity",
@@ -383,6 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach a preset multi-tenant demand mix "
                         "(required for --value deadline)")
     p.add_argument("--hours", type=float, default=6.0)
+    p.add_argument("--matcher", choices=("stable", "optimal", "greedy"),
+                   default="stable",
+                   help="per-instant matching: Gale-Shapley stable (the "
+                        "paper's choice), optimal max-weight, or greedy")
     p.add_argument("--weather", choices=("cells", "storms"), default="cells",
                    help="weather process: stationary rain cells or the "
                         "same plus advected storm tracks")

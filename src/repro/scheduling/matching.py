@@ -10,7 +10,8 @@ do).
 All algorithms respect station capacity (``max_concurrent``): a station
 with multiple independently steerable antennas can serve several
 satellites, the common case being capacity 1 ("most current ground
-stations can only support point to point links").
+stations can only support point to point links").  A station with
+capacity 0 takes nobody; negative capacities are rejected.
 
 Preferences on both sides derive from the same edge weight -- the value of
 the link -- exactly as the paper constructs them; ties are broken by index
@@ -59,6 +60,8 @@ def _station_capacities(graph: ContactGraph,
         raise ValueError(
             f"capacities length {len(capacities)} != stations {graph.num_stations}"
         )
+    if any(cap < 0 for cap in capacities):
+        raise ValueError(f"station capacities must be >= 0, got {capacities}")
     return capacities
 
 
@@ -150,8 +153,11 @@ def gale_shapley(graph: ContactGraph,
         next_proposal[sat] = idx + 1
         pos = options[idx]
         station = gs_l[pos]
-        station_held = held.setdefault(station, [])
         capacity = caps[station]
+        if capacity == 0:
+            free.append(sat)  # the station takes nobody; try the next one
+            continue
+        station_held = held.setdefault(station, [])
         if len(station_held) < capacity:
             station_held.append(pos)
             station_held.sort(key=station_key)
@@ -205,105 +211,165 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A from-scratch Jonker-Volgenant-style shortest-augmenting-path
     implementation, O(n^3).  Returns (row_indices, col_indices) like
     ``scipy.optimize.linear_sum_assignment`` (against which the test suite
-    cross-checks it).  Requires rows <= cols; transpose first otherwise.
+    cross-checks it), ordered by row.  Works on rows <= cols; a taller
+    matrix is transposed internally and the indices mapped back.
+
+    Each row is inserted by a Dijkstra search over the columns whose step
+    is a handful of whole-row numpy operations: relax the reduced costs
+    of the unsettled columns, settle the first minimum (``argmin``, so
+    ties go to the lowest column), and stop at an unassigned column.  Dual potentials are updated once
+    per row from the settled distances, as in the LAPJV formulation.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    n_rows, n_cols = cost.shape
-    transposed = False
-    if n_rows > n_cols:
-        cost = cost.T
-        n_rows, n_cols = cost.shape
-        transposed = True
-    # Potentials (dual variables) and matching arrays, 1-indexed internally.
-    u = np.zeros(n_rows + 1)
-    v = np.zeros(n_cols + 1)
-    match_col = np.zeros(n_cols + 1, dtype=int)  # col -> row (0 = free)
-    way = np.zeros(n_cols + 1, dtype=int)
-    for row in range(1, n_rows + 1):
-        match_col[0] = row
-        j0 = 0
-        minv = np.full(n_cols + 1, np.inf)
-        used = np.zeros(n_cols + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, n_cols + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n_cols + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-    rows = []
-    cols = []
-    for j in range(1, n_cols + 1):
-        if match_col[j] != 0:
-            rows.append(match_col[j] - 1)
-            cols.append(j - 1)
-    order = np.argsort(rows)
-    row_idx = np.array(rows)[order]
-    col_idx = np.array(cols)[order]
+    transposed = cost.shape[0] > cost.shape[1]
     if transposed:
-        return col_idx, row_idx
-    return row_idx, col_idx
+        cost = np.ascontiguousarray(cost.T)
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    row4col = np.full(n_cols, -1, dtype=np.intp)
+    col4row = np.full(n_rows, -1, dtype=np.intp)
+    path = np.zeros(n_cols, dtype=np.intp)
+    for cur_row in range(n_rows):
+        dist = np.full(n_cols, np.inf)
+        # v with settled columns at -inf: their reduced cost becomes +inf,
+        # so they never relax again and ``argmin`` never picks them.
+        live_v = v.copy()
+        settled: list[int] = []
+        settled_dist: list[float] = []
+        row = cur_row
+        min_val = 0.0
+        while True:
+            reduced = cost[row] - live_v
+            reduced += min_val - u[row]
+            better = reduced < dist
+            np.copyto(dist, reduced, where=better)
+            path[better] = row
+            col = int(dist.argmin())
+            min_val = float(dist[col])
+            if row4col[col] < 0:
+                break
+            settled.append(col)
+            settled_dist.append(min_val)
+            dist[col] = np.inf
+            live_v[col] = -np.inf
+            row = row4col[col]
+        u[cur_row] += min_val
+        if settled:
+            cols = np.array(settled)
+            shift = min_val - np.array(settled_dist)
+            u[row4col[cols]] += shift
+            v[cols] -= shift
+        while True:  # augment along the shortest path back to cur_row
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == cur_row:
+                break
+    if transposed:
+        col_idx = np.flatnonzero(row4col >= 0)
+        return col_idx, row4col[col_idx]
+    return np.arange(n_rows), col4row
+
+
+def _component_labels(sat: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Connected-component label of every edge of a bipartite edge list.
+
+    Min-label propagation with pointer jumping over the compressed node
+    set (satellites first, then stations): each round pulls both endpoints
+    of every edge down to the smaller of their labels, then replaces each
+    label by its label's label.  A label is always a node of its own
+    component, and the fixed point gives both endpoints of every edge the
+    same label, so equal labels are exactly connected components.
+    """
+    sats, a = np.unique(sat, return_inverse=True)
+    stations, b = np.unique(gs, return_inverse=True)
+    b = b + sats.size
+    label = np.arange(sats.size + stations.size)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label[a]
+        label = new
+
+
+def _solve_component(sat: np.ndarray, gs: np.ndarray, w: np.ndarray,
+                     caps: np.ndarray) -> np.ndarray:
+    """Optimal matching of one connected component of the contact graph.
+
+    Takes the component's edges as parallel arrays and returns the chosen
+    edges as indices into them.  Rows are the component's satellites;
+    each station gets min(capacity, degree) replicated columns -- it can
+    never take more satellites than it has edges to.  Missing pairs weigh
+    0, so the full assignment ``hungarian`` returns restricts to a
+    maximum-weight matching once padding entries are dropped.
+    """
+    if w.size == 1:
+        return np.zeros(1, dtype=np.intp)
+    sats, row = np.unique(sat, return_inverse=True)
+    stations, station = np.unique(gs, return_inverse=True)
+    reps = np.minimum(caps[stations],
+                      np.bincount(station, minlength=stations.size))
+    first_col = np.cumsum(reps) - reps
+    # Each edge fills its station's reps columns: edge e, copy k -> column
+    # first_col[station[e]] + k.
+    copies = reps[station]
+    edge = np.repeat(np.arange(w.size), copies)
+    copy = np.arange(edge.size) - np.repeat(np.cumsum(copies) - copies,
+                                            copies)
+    col = first_col[station[edge]] + copy
+    shape = (sats.size, int(reps.sum()))
+    weight = np.zeros(shape)
+    weight[row[edge], col] = w[edge]
+    entry_edge = np.full(shape, -1, dtype=np.intp)
+    entry_edge[row[edge], col] = edge
+    # Maximize weight == minimize (max - weight).
+    rows, cols = hungarian(weight.max() - weight)
+    chosen = entry_edge[rows, cols]
+    return chosen[chosen >= 0]
 
 
 def max_weight_matching(graph: ContactGraph,
                         capacities: list[int] | None = None) -> list[Assignment]:
-    """Optimal (maximum total value) matching via the Hungarian algorithm.
+    """Optimal (maximum total value) matching, solved per component.
 
-    Station capacity c is handled by replicating its column c times.
-    Zero-weight pairs are non-edges; the assignment is filtered to real
-    edges afterwards, so the optimum is over the true graph.
+    A component-split sparse shortest-augmenting-path solver, numpy only:
+    edges with weight <= 0 and stations with capacity 0 are dropped, the
+    remaining edge list is split into connected components, and each
+    component is compressed to its own satellites and stations (capacity
+    replicated per component, not fleet-wide) and solved with
+    :func:`hungarian`.  A contact graph at one instant falls apart into
+    pass clusters, so this solves many small problems instead of one
+    fleet-wide M x sum(capacity) matrix.
+
+    Reads the graph's column arrays like the other matchers; assignments
+    come out in ascending satellite index whatever the component order.
     """
-    caps = _station_capacities(graph, capacities)
-    if not graph.edges:
+    caps = np.asarray(_station_capacities(graph, capacities), dtype=np.intp)
+    cols = graph.columns()
+    sat_arr, gs_arr, w_arr = (
+        cols.satellite_index, cols.station_index, cols.weight
+    )
+    live = np.flatnonzero((w_arr > 0.0) & (caps[gs_arr] > 0))
+    if live.size == 0:
         return []
-    # Column expansion for capacities.
-    col_station: list[int] = []
-    for j, cap in enumerate(caps):
-        col_station.extend([j] * max(0, cap))
-    if not col_station:
-        return []
-    station_cols: dict[int, list[int]] = {}
-    for col, j in enumerate(col_station):
-        station_cols.setdefault(j, []).append(col)
-    weight = np.zeros((graph.num_satellites, len(col_station)))
-    edge_lookup: dict[tuple[int, int], ContactEdge] = {}
-    for e in graph.edges:
-        for col in station_cols.get(e.station_index, []):
-            weight[e.satellite_index, col] = e.weight
-        edge_lookup[(e.satellite_index, e.station_index)] = e
-    # Maximize weight == minimize (max - weight).
-    cost = weight.max() - weight
-    rows, cols = hungarian(cost)
-    result = []
-    for r, c in zip(rows, cols):
-        if weight[r, c] <= 0.0:
-            continue  # matched to a non-edge (padding)
-        edge = edge_lookup[(int(r), col_station[int(c)])]
-        result.append(Assignment.from_edge(edge))
-    return result
+    labels = _component_labels(sat_arr[live], gs_arr[live])
+    order = np.argsort(labels, kind="stable")
+    by_component = live[order]
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    chosen = np.concatenate([
+        part[_solve_component(sat_arr[part], gs_arr[part], w_arr[part], caps)]
+        for part in np.split(by_component, bounds)
+    ])
+    chosen = chosen[np.argsort(sat_arr[chosen])]
+    return _assignments_at(graph, chosen.tolist(), sat_arr.tolist(),
+                           gs_arr.tolist(), w_arr.tolist())
 
 
 def is_stable(graph: ContactGraph, assignments: list[Assignment],

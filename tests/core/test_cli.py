@@ -46,6 +46,22 @@ class TestSimulate:
         assert "delivered:" in out
         assert "latency" in out
 
+    def test_matcher_flag(self, monkeypatch, capsys):
+        from repro.scheduling import scheduler
+
+        calls = []
+        optimal = scheduler._MATCHERS["optimal"]
+
+        def spy(graph, capacities=None):
+            calls.append(graph.num_edges)
+            return optimal(graph, capacities)
+
+        monkeypatch.setitem(scheduler._MATCHERS, "optimal", spy)
+        assert main(["simulate", "--hours", "1", "--satellites", "6",
+                     "--stations", "10", "--matcher", "optimal"]) == 0
+        assert "delivered:" in capsys.readouterr().out
+        assert calls
+
     def test_baseline_run(self, capsys):
         assert main(["simulate", "--system", "baseline", "--hours", "1",
                      "--satellites", "6"]) == 0

@@ -118,15 +118,18 @@ class TestGaleShapley:
             )
 
 
-#: Like ``graphs`` but weights drawn from a tiny discrete set, so tied
-#: edge weights are the norm rather than a measure-zero accident.
+#: A tiny discrete weight set, so tied edge weights are the norm rather
+#: than a measure-zero accident.
+tied_weights = st.sampled_from([1.0, 2.0, 2.0, 3.0, 5.0])
+
+#: Like ``graphs`` but with weights from ``tied_weights``.
 tied_graphs = st.builds(
     make_graph,
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=7),
             st.integers(min_value=0, max_value=5),
-            st.sampled_from([1.0, 2.0, 2.0, 3.0, 5.0]),
+            tied_weights,
         ),
         max_size=30,
         unique_by=lambda t: (t[0], t[1]),
@@ -196,20 +199,32 @@ class TestHungarian:
         rows, cols = hungarian(cost)
         assert len(rows) == 2  # min(n_rows, n_cols) assignments
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        shape=st.tuples(st.integers(2, 7), st.integers(2, 7)),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 60)),
+        tall=st.booleans(),
+        integer=st.booleans(),
         seed=st.integers(0, 10_000),
     )
-    def test_matches_scipy(self, shape, seed):
+    def test_matches_scipy(self, shape, tall, integer, seed):
+        """Wide and tall matrices; integer costs make tied optima common."""
         from scipy.optimize import linear_sum_assignment
 
         rng = np.random.default_rng(seed)
-        cost = rng.uniform(0.0, 10.0, size=shape)
+        if tall:
+            shape = shape[::-1]
+        if integer:
+            cost = rng.integers(0, 5, size=shape).astype(float)
+        else:
+            cost = rng.uniform(0.0, 10.0, size=shape)
         rows, cols = hungarian(cost)
+        assert len(rows) == min(shape)
+        assert len(set(rows.tolist())) == len(rows)
+        assert len(set(cols.tolist())) == len(cols)
+        assert list(rows) == sorted(rows)
         ref_rows, ref_cols = linear_sum_assignment(cost)
         assert cost[rows, cols].sum() == pytest.approx(
-            cost[ref_rows, ref_cols].sum()
+            cost[ref_rows, ref_cols].sum(), rel=1e-9, abs=1e-9
         )
 
     def test_rejects_non_matrix(self):
@@ -247,6 +262,126 @@ class TestMaxWeightMatching:
 
     def test_empty(self):
         assert max_weight_matching(make_graph([])) == []
+
+
+def oracle_weight(graph, capacities):
+    """Maximum matched weight: scipy on the capacity-expanded matrix."""
+    from scipy.optimize import linear_sum_assignment
+
+    expanded = np.repeat(graph.weight_matrix(), capacities, axis=1)
+    if expanded.size == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(expanded, maximize=True)
+    return float(expanded[rows, cols].sum())
+
+
+@st.composite
+def component_graphs(draw):
+    """Several disconnected blocks, with isolated satellites and stations.
+
+    Each block draws its own edges among its own satellites and stations;
+    a block may leave a satellite or station edgeless, and an optional gap
+    node between blocks is never touched, so the graph has several
+    components plus isolated nodes on both sides.
+    """
+    weights = draw(st.sampled_from([
+        tied_weights, st.floats(min_value=0.1, max_value=100.0),
+    ]))
+    spec = []
+    sat_base = station_base = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        num_sats = draw(st.integers(min_value=1, max_value=6))
+        num_stations = draw(st.integers(min_value=1, max_value=5))
+        block = draw(st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=num_sats - 1),
+                st.integers(min_value=0, max_value=num_stations - 1),
+                weights,
+            ),
+            max_size=20,
+            unique_by=lambda t: (t[0], t[1]),
+        ))
+        spec.extend((sat_base + s, station_base + g, w) for s, g, w in block)
+        sat_base += num_sats + draw(st.integers(min_value=0, max_value=1))
+        station_base += num_stations + draw(st.integers(min_value=0, max_value=1))
+    return make_graph(spec, num_sats=sat_base, num_stations=station_base)
+
+
+class TestMaxWeightMatchingOracle:
+    """Differential suite: the optimal matcher against scipy's solver."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=st.one_of(component_graphs(), tied_graphs, graphs),
+           data=st.data())
+    def test_matches_scipy(self, graph, data):
+        caps = data.draw(st.lists(
+            st.integers(min_value=0, max_value=3),
+            min_size=graph.num_stations, max_size=graph.num_stations,
+        ))
+        assignments = max_weight_matching(graph, caps)
+        assert_valid(graph, assignments, caps)
+        total = sum(a.weight for a in assignments)
+        assert total == pytest.approx(oracle_weight(graph, caps),
+                                      rel=1e-9, abs=1e-12)
+        sats = [a.satellite_index for a in assignments]
+        assert sats == sorted(sats)
+        again = ContactGraph(when=EPOCH, edges=list(graph.edges),
+                             num_satellites=graph.num_satellites,
+                             num_stations=graph.num_stations)
+        assert max_weight_matching(again, caps) == assignments
+
+    def test_components_solved_independently(self):
+        # Two components that each want their own best pair.
+        graph = make_graph([(0, 0, 3.0), (0, 1, 2.0), (1, 0, 2.0),
+                            (2, 2, 1.0), (3, 2, 4.0)])
+        pairs = [(a.satellite_index, a.station_index)
+                 for a in max_weight_matching(graph)]
+        assert pairs == [(0, 1), (1, 0), (3, 2)]
+
+    def test_non_positive_weights_never_assigned(self):
+        graph = make_graph([(0, 0, 0.0), (1, 1, -2.0), (2, 2, 1.0)])
+        pairs = [(a.satellite_index, a.station_index)
+                 for a in max_weight_matching(graph)]
+        assert pairs == [(2, 2)]
+
+
+class TestStationCapacities:
+    """Zero capacity means the station takes nothing; negative is invalid."""
+
+    @pytest.mark.parametrize(
+        "matcher", [gale_shapley, greedy_matching, max_weight_matching]
+    )
+    def test_zero_capacity_station_takes_nothing(self, matcher):
+        # Sat 0 prefers station 0, which has no antenna free: it must move
+        # on to station 1 instead of crashing or being dropped.
+        graph = make_graph([(0, 0, 10.0), (0, 1, 5.0), (1, 0, 8.0)])
+        assignments = matcher(graph, capacities=[0, 1])
+        assert [(a.satellite_index, a.station_index)
+                for a in assignments] == [(0, 1)]
+
+    @pytest.mark.parametrize(
+        "matcher", [gale_shapley, greedy_matching, max_weight_matching]
+    )
+    def test_all_zero_capacities(self, matcher):
+        graph = make_graph([(0, 0, 1.0), (1, 1, 2.0)])
+        assert matcher(graph, capacities=[0, 0]) == []
+
+    @pytest.mark.parametrize(
+        "matcher", [gale_shapley, greedy_matching, max_weight_matching]
+    )
+    def test_negative_capacity_rejected(self, matcher):
+        graph = make_graph([(0, 0, 1.0), (1, 1, 2.0)])
+        with pytest.raises(ValueError, match="capacities"):
+            matcher(graph, capacities=[1, -1])
+
+    @settings(max_examples=60)
+    @given(graph=graphs, data=st.data())
+    def test_stable_with_zero_capacities(self, graph, data):
+        caps = data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                  min_size=6, max_size=6))
+        assignments = gale_shapley(graph, caps)
+        assert_valid(graph, assignments, caps)
+        assert is_stable(graph, assignments, caps)
 
 
 class TestGreedy:
