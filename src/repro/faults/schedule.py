@@ -1,8 +1,10 @@
 """The fault schedule: every injected fault for one run, plus queries.
 
-A :class:`FaultSchedule` is pure data -- the engine and scheduler query
-it point-in-time and never mutate it, so one schedule can be replayed
-across experiment variants.  :meth:`FaultSchedule.generate` draws a full
+A :class:`FaultSchedule` is immutable data -- the engine and scheduler
+query it point-in-time and cannot mutate it, so one schedule can be
+replayed across experiment variants.  It indexes its windows by entity
+once, at construction, so a query costs O(that entity's windows) rather
+than O(the whole schedule).  :meth:`FaultSchedule.generate` draws a full
 schedule from a single seeded RNG; the same (entities, horizon,
 intensity, seed) always produces the identical schedule, which is what
 makes fault runs bit-reproducible.
@@ -10,10 +12,11 @@ makes fault runs bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.faults.events import (
     BackhaulFault,
@@ -31,14 +34,51 @@ _UNDECODED_SHARE = 0.3
 _STALE_TLE_SHARE = 0.3
 
 
-@dataclass
-class FaultSchedule:
-    """Every fault injected into one simulation run."""
+def require_finite_positive(**values: float) -> None:
+    """Raise ``ValueError`` naming the first value not finite and > 0.
 
-    outages: list[StationOutage] = field(default_factory=list)
-    backhaul: list[BackhaulFault] = field(default_factory=list)
-    undecoded: list[UndecodedPass] = field(default_factory=list)
-    stale_tle: list[StaleTleWindow] = field(default_factory=list)
+    The window generators loop until a drawn clock passes the horizon, so
+    an infinite or NaN horizon, or a non-positive mean duration, would
+    never return.
+    """
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _by_entity(events: Iterable, key: str) -> dict[str, tuple]:
+    """Group events by their entity id, keeping list order within each."""
+    index: dict[str, list] = {}
+    for event in events:
+        index.setdefault(getattr(event, key), []).append(event)
+    return {entity: tuple(group) for entity, group in index.items()}
+
+
+@dataclass(frozen=True)
+class FaultSchedule:
+    """Every fault injected into one simulation run.
+
+    List inputs are stored as tuples.  The per-entity index (station id;
+    satellite id for stale TLEs; list order kept) is not a field, so
+    ``==``, ``repr`` and ``hash`` see only the four collections.
+    """
+
+    outages: tuple[StationOutage, ...] = ()
+    backhaul: tuple[BackhaulFault, ...] = ()
+    undecoded: tuple[UndecodedPass, ...] = ()
+    stale_tle: tuple[StaleTleWindow, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("outages", "backhaul", "undecoded", "stale_tle"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "_outages_by_station",
+                           _by_entity(self.outages, "station_id"))
+        object.__setattr__(self, "_backhaul_by_station",
+                           _by_entity(self.backhaul, "station_id"))
+        object.__setattr__(self, "_undecoded_by_station",
+                           _by_entity(self.undecoded, "station_id"))
+        object.__setattr__(self, "_stale_tle_by_satellite",
+                           _by_entity(self.stale_tle, "satellite_id"))
 
     # -- queries (all half-open [start, end)) --------------------------------
 
@@ -53,17 +93,18 @@ class FaultSchedule:
         Overlapping outages compound pessimistically: the worst one wins.
         """
         worst = 1.0
-        for o in self.outages:
-            if o.station_id == station_id and o.covers(when):
+        for o in self._outages_by_station.get(station_id, ()):
+            if o.covers(when):
                 worst = min(worst, o.availability)
         return worst
 
     def backhaul_fault(self, station_id: str,
                        when: datetime) -> BackhaulFault | None:
-        """The active backhaul fault, partition winning over latency spikes."""
+        """The active backhaul fault: a partition wins, else the first
+        active latency spike in list order."""
         active = None
-        for b in self.backhaul:
-            if b.station_id == station_id and b.covers(when):
+        for b in self._backhaul_by_station.get(station_id, ()):
+            if b.covers(when):
                 if b.partitioned:
                     return b
                 if active is None:
@@ -76,14 +117,14 @@ class FaultSchedule:
 
     def is_undecoded(self, station_id: str, when: datetime) -> bool:
         return any(
-            u.station_id == station_id and u.covers(when)
-            for u in self.undecoded
+            u.covers(when)
+            for u in self._undecoded_by_station.get(station_id, ())
         )
 
     def is_tle_stale(self, satellite_id: str, when: datetime) -> bool:
         return any(
-            w.satellite_id == satellite_id and w.covers(when)
-            for w in self.stale_tle
+            w.covers(when)
+            for w in self._stale_tle_by_satellite.get(satellite_id, ())
         )
 
     def faulted_stations(self, when: datetime) -> set[str]:
@@ -120,12 +161,19 @@ class FaultSchedule:
         """
         if not 0.0 <= intensity <= 1.0:
             raise ValueError("intensity must be in [0, 1]")
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        schedule = cls()
+        require_finite_positive(
+            horizon_s=horizon_s, mean_outage_s=mean_outage_s,
+            mean_backhaul_s=mean_backhaul_s,
+            mean_undecoded_s=mean_undecoded_s,
+            mean_stale_tle_s=mean_stale_tle_s,
+        )
         if intensity == 0.0:
-            return schedule
+            return cls()
         rng = random.Random(seed)
+        outages: list[StationOutage] = []
+        backhaul: list[BackhaulFault] = []
+        undecoded: list[UndecodedPass] = []
+        stale_tle: list[StaleTleWindow] = []
 
         def windows(share: float, mean_s: float):
             """Poisson arrivals with exponential durations, clamped to
@@ -154,28 +202,29 @@ class FaultSchedule:
                     severity = 1.0  # hard down
                 else:
                     severity = rng.uniform(0.3, 0.9)  # partial capacity
-                schedule.outages.append(
+                outages.append(
                     StationOutage(sid, begin, finish, severity=severity)
                 )
             for begin, finish in windows(_BACKHAUL_SHARE, mean_backhaul_s):
                 if rng.random() < 0.5:
-                    schedule.backhaul.append(
+                    backhaul.append(
                         BackhaulFault(sid, begin, finish, partitioned=True)
                     )
                 else:
                     spike_s = 60.0 + rng.expovariate(1.0 / 600.0)
-                    schedule.backhaul.append(
+                    backhaul.append(
                         BackhaulFault(sid, begin, finish,
                                       extra_latency_s=spike_s)
                     )
             for begin, finish in windows(_UNDECODED_SHARE, mean_undecoded_s):
-                schedule.undecoded.append(UndecodedPass(sid, begin, finish))
+                undecoded.append(UndecodedPass(sid, begin, finish))
         for sat_id in satellite_ids:
             for begin, finish in windows(_STALE_TLE_SHARE, mean_stale_tle_s):
-                schedule.stale_tle.append(
+                stale_tle.append(
                     StaleTleWindow(sat_id, begin, finish)
                 )
-        return schedule
+        return cls(outages=outages, backhaul=backhaul, undecoded=undecoded,
+                   stale_tle=stale_tle)
 
     @classmethod
     def station_blackout(cls, station_ids: Sequence[str], start: datetime,

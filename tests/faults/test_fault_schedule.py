@@ -1,5 +1,6 @@
 """Unit tests for the fault event types and the seeded FaultSchedule."""
 
+import dataclasses
 from datetime import datetime, timedelta
 
 import pytest
@@ -171,6 +172,58 @@ class TestGenerate:
                                    intensity=1.5)
         with pytest.raises(ValueError):
             FaultSchedule.generate(self.STATIONS, self.SATS, EPOCH, 0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("horizon_s", float("inf")),
+        ("horizon_s", float("nan")),
+        ("horizon_s", -1.0),
+        ("mean_outage_s", -60.0),
+        ("mean_outage_s", 0.0),
+        ("mean_outage_s", float("inf")),
+        ("mean_backhaul_s", float("nan")),
+        ("mean_undecoded_s", 0.0),
+        ("mean_stale_tle_s", -1.0),
+    ])
+    def test_rejects_unbounded_durations(self, name, value):
+        """These used to loop forever (or divide by zero) drawing windows."""
+        kwargs = dict(start=EPOCH, horizon_s=3600.0, intensity=0.3, seed=0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            FaultSchedule.generate(self.STATIONS, self.SATS, **kwargs)
+
+
+class TestImmutability:
+    OUTAGE = StationOutage("gs-1", EPOCH, hours(1), severity=0.5)
+
+    def test_fields_cannot_be_assigned(self):
+        schedule = FaultSchedule(outages=[self.OUTAGE])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.outages = ()
+
+    def test_list_inputs_come_back_as_tuples(self):
+        schedule = FaultSchedule(
+            outages=[self.OUTAGE],
+            backhaul=[BackhaulFault("gs-1", EPOCH, hours(1),
+                                    partitioned=True)],
+            undecoded=[UndecodedPass("gs-2", EPOCH, hours(1))],
+            stale_tle=[StaleTleWindow("sat-A", EPOCH, hours(1))],
+        )
+        for field in dataclasses.fields(schedule):
+            assert isinstance(getattr(schedule, field.name), tuple)
+        assert schedule == FaultSchedule(
+            outages=(self.OUTAGE,), backhaul=schedule.backhaul,
+            undecoded=schedule.undecoded, stale_tle=schedule.stale_tle,
+        )
+        assert hash(schedule) == hash(dataclasses.replace(schedule))
+
+    def test_replace_answers_from_the_new_outages(self):
+        schedule = FaultSchedule(outages=[self.OUTAGE])
+        moved = dataclasses.replace(schedule, outages=[
+            StationOutage("gs-2", EPOCH, hours(1), severity=1.0),
+        ])
+        assert moved.station_availability("gs-1", hours(0.5)) == 1.0
+        assert moved.station_availability("gs-2", hours(0.5)) == 0.0
+        assert schedule.station_availability("gs-1", hours(0.5)) == 0.5
 
 
 class TestCounters:

@@ -74,6 +74,34 @@ class TestOutageSchedule:
         with pytest.raises(ValueError):
             OutageSchedule.random_failures(["a"], EPOCH, 100.0, 0.0, 10.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("horizon_s", float("inf")),
+        ("horizon_s", float("nan")),
+        ("horizon_s", 0.0),
+        ("mean_time_between_failures_s", float("inf")),
+        ("mean_repair_s", float("nan")),
+        ("mean_repair_s", -5.0),
+    ])
+    def test_rejects_unbounded_durations(self, name, value):
+        """An infinite horizon used to loop forever drawing failures."""
+        kwargs = dict(start=EPOCH, horizon_s=3600.0,
+                      mean_time_between_failures_s=600.0,
+                      mean_repair_s=60.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            OutageSchedule.random_failures(["a", "b"], **kwargs)
+
+    def test_add_after_queries_is_visible(self):
+        schedule = OutageSchedule.total_failure(["a"], EPOCH, 3600.0)
+        when = EPOCH + timedelta(hours=2, minutes=5)
+        assert not schedule.is_down("a", when)
+        assert not schedule.is_down("b", when)
+        schedule.add(Outage("b", EPOCH + timedelta(hours=2),
+                            EPOCH + timedelta(hours=3)))
+        assert schedule.is_down("b", when)
+        assert not schedule.is_down("a", when)
+        assert schedule.down_stations(when) == {"b"}
+
 
 class TestFaultInjectedSimulation:
     def _run(self, outages=None, announced=False):

@@ -170,16 +170,55 @@ class TestEventEffects:
         assert tenant.quota_gb_per_day == 123.0
 
     def test_outage_notice_blocks_station(self):
+        """A notice ingested after several ticks, on top of one the
+        scheduler has been querying since tick 0, prunes its station from
+        the very next tick's contact graph."""
+        def record_graphs(session):
+            scheduler = session.simulation.scheduler
+            build = scheduler.contact_graph
+            graphs = []
+
+            def spy(when, *args, **kwargs):
+                graph = build(when, *args, **kwargs)
+                graphs.append(graph)
+                return graph
+
+            scheduler.contact_graph = spy
+            return graphs
+
+        # An undisturbed run finds a tick past the first few with edges.
+        reference = SimulationSession(plain_spec())
+        graphs = record_graphs(reference)
+        stations_at = []
+        while reference.step < reference.horizon_steps:
+            graphs.clear()
+            reference.advance()
+            stations_at.append({e.station_index
+                                for g in graphs for e in g.edges})
+        tick = next(i for i, seen in enumerate(stations_at)
+                    if i >= 5 and seen)
+        index = min(stations_at[tick])
+
         session = SimulationSession(plain_spec())
         sim = session.simulation
-        station = sim.network[0].station_id
-        session.ingest([OutageNotice(station, EPOCH,
-                                     EPOCH + timedelta(hours=2))])
+        station = sim.network[index].station_id
+        bystander = sim.network[(index + 1) % len(sim.network)].station_id
+        # Past the horizon: queried every tick, never down.
+        session.ingest([OutageNotice(bystander, EPOCH + timedelta(hours=5),
+                                     EPOCH + timedelta(hours=6))])
+        session.advance(steps=tick)
+        now = session.now
+        session.ingest([OutageNotice(station, now,
+                                     now + timedelta(hours=2))])
+        graphs = record_graphs(session)
         session.advance()
         assert sim.outages is not None
         assert sim.outages_announced
-        assert sim.outages.is_down(station, EPOCH + timedelta(minutes=30))
-        assert not sim.outages.is_down(station, EPOCH + timedelta(hours=3))
+        assert sim.outages.is_down(station, now + timedelta(minutes=30))
+        assert not sim.outages.is_down(station, now + timedelta(hours=3))
+        assert graphs, "the tick built no contact graph"
+        assert all(e.station_index != index
+                   for g in graphs for e in g.edges)
 
     def test_outage_refused_over_unannounced_schedule(self):
         from repro.simulation import OutageSchedule
