@@ -52,11 +52,13 @@ GATE_SATELLITES = 2500
 GATE_STATIONS = 1000
 GATE_INSTANTS = 10
 
-#: Peak-RSS budget for the 10k x 1 h run.  Measured ~0.46 GB (float32
-#: ephemeris, windowed streaming); 1.5 GB leaves headroom for allocator
-#: variance while still catching any return to dense per-step matrices
-#: or float64 monolithic tables.
-RSS_BUDGET_KB = 1_500_000
+#: Peak-RSS budget for the 10k x 1 h run.  Measured 456 MB (float32
+#: ephemeris, windowed streaming, contact-window index built in bounded
+#: scan chunks and statics blocks), against 890-900 MB when the index
+#: build held 200k-row scan chunks and whole-index sort and statics
+#: temporaries at once; 750 MB catches a return to that, to dense
+#: per-step matrices or to float64 monolithic tables.
+RSS_BUDGET_KB = 750 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from dataclasses import replace
 from datetime import datetime
 from typing import TYPE_CHECKING, Iterable
 
-from repro.demand.tenant import GB_TO_BITS, Tenant
+from repro.demand.tenant import GB_TO_BITS, Tenant, check_quota_gb_per_day
 
 if TYPE_CHECKING:
     from repro.satellites.data import DataChunk
@@ -98,8 +98,7 @@ class TenantAccountant:
         tenant = self._tenants.get(tenant_id)
         if tenant is None:
             raise KeyError(f"unknown tenant {tenant_id!r}")
-        if quota_gb_per_day < 0.0:
-            raise ValueError("quota_gb_per_day must be >= 0")
+        check_quota_gb_per_day(quota_gb_per_day)
         self._tenants[tenant_id] = replace(
             tenant, quota_gb_per_day=float(quota_gb_per_day)
         )

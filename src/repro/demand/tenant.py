@@ -10,11 +10,26 @@ frozen and hashable so a tuple of them can sit inside a frozen
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 #: Mirrors :data:`repro.simulation.metrics.GB_TO_BITS` without importing
 #: the metrics module from this low-level package.
 GB_TO_BITS = 8e9
+
+
+def check_quota_gb_per_day(quota_gb_per_day: float) -> None:
+    """Raise ``ValueError`` unless a quota is finite and >= 0 (0 = unlimited).
+
+    A NaN quota compares False against every delivered volume, so its
+    tenant would stay over quota for good, and it would reach the report
+    JSON as a bare ``NaN`` token; an infinite one would too.
+    """
+    if not (math.isfinite(quota_gb_per_day) and quota_gb_per_day >= 0.0):
+        raise ValueError(
+            "quota_gb_per_day must be finite and >= 0 (0 = unlimited), "
+            f"got {quota_gb_per_day!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -63,8 +78,7 @@ class Tenant:
             raise ValueError(f"tier must be >= 1, got {self.tier}")
         if self.weight <= 0.0:
             raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.quota_gb_per_day < 0.0:
-            raise ValueError("quota_gb_per_day cannot be negative (0 = unlimited)")
+        check_quota_gb_per_day(self.quota_gb_per_day)
         if self.sla_deadline_s <= 0.0:
             raise ValueError("sla_deadline_s must be positive")
         if self.demand_share <= 0.0:

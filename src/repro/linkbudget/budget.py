@@ -39,12 +39,18 @@ from repro.linkbudget.itu import (
     cloud_attenuation_db_batch_presin,
     gaseous_attenuation_db,
     gaseous_attenuation_db_batch,
+    gaseous_attenuation_db_batch_presin,
     rain_attenuation_db,
     rain_attenuation_db_batch,
     rain_attenuation_db_batch_pregeom,
     rain_height_km_batch,
 )
 from repro.orbits.constants import BOLTZMANN_DBW
+
+#: Rows per block in :meth:`LinkBudget.precompute_statics`: each block's
+#: float64 temporaries (about a dozen arrays of this length, ~2 MB each)
+#: are the only memory the precompute holds beyond its output columns.
+_STATICS_BLOCK_ROWS = 262_144
 
 
 @dataclass(frozen=True)
@@ -292,41 +298,67 @@ class LinkBudget:
         elevation_deg: np.ndarray,
         station_latitude_deg: np.ndarray | None = None,
         station_altitude_km: np.ndarray | float = 0.0,
+        station_index: np.ndarray | None = None,
     ) -> KernelStatics:
         """Evaluate the geometry-only kernel terms for a fixed pair set.
 
-        Runs the identical batch helpers :meth:`evaluate_batch` would run,
-        so passing the result back via its ``static`` parameter changes
+        Runs the identical element-wise expressions :meth:`evaluate_batch`
+        would run on the 1-D ``range_km``/``elevation_deg`` rows, so
+        passing the result back via its ``static`` parameter changes
         nothing but when the work happens.  When ``station_latitude_deg``
         is given, the rain model's geometry (slant path, horizontal
         projection, reduction ``b`` term -- functions of elevation,
         latitude, and altitude only) is precomputed too, with the exact
         expressions of :func:`rain_attenuation_db_batch`.
+
+        Latitude and altitude broadcast against the rows, unless
+        ``station_index`` is given: they are then per-station arrays and
+        row ``i`` belongs to station ``station_index[i]``, so the rain
+        height is evaluated once per station instead of once per row.
+        Columns are filled in blocks of :data:`_STATICS_BLOCK_ROWS` rows;
+        every output element depends only on its own row, so the result
+        does not depend on the block size.
         """
         range_km = np.asarray(range_km, dtype=float)
         elevation_deg = np.asarray(elevation_deg, dtype=float)
+        rows = range_km.shape[0]
         freq = self.radio.frequency_ghz
+        fspl = np.empty(rows)
+        gas = np.empty(rows)
+        sin_el = np.empty(rows)
+        with_rain = station_latitude_deg is not None
         rain_slant = rain_lg = rain_b = None
-        if station_latitude_deg is not None:
-            lat, alt, el_in = np.broadcast_arrays(
-                np.asarray(station_latitude_deg, dtype=float),
-                np.asarray(station_altitude_km, dtype=float),
-                elevation_deg,
+        if with_rain:
+            height = np.maximum(
+                0.0,
+                rain_height_km_batch(station_latitude_deg)
+                - np.asarray(station_altitude_km, dtype=float),
             )
-            # The cloud sine and the rain model clamp to the same 5-deg
-            # floor, so one radians/sin/cos evaluation serves both.
-            el = np.maximum(el_in, 5.0)
-            rad_el = np.radians(el)
-            sin_el = np.sin(rad_el)
-            height = np.maximum(0.0, rain_height_km_batch(lat) - alt)
-            rain_slant = np.where(height > 0.0, height / sin_el, 0.0)
-            rain_lg = rain_slant * np.cos(rad_el)
-            rain_b = 0.38 * (1.0 - np.exp(-2.0 * rain_lg))
-        else:
-            sin_el = np.sin(np.radians(np.maximum(elevation_deg, 5.0)))
+            if station_index is None:
+                height = np.broadcast_to(height, (rows,))
+            rain_slant = np.empty(rows)
+            rain_lg = np.empty(rows)
+            rain_b = np.empty(rows)
+        for lo in range(0, rows, _STATICS_BLOCK_ROWS):
+            hi = min(lo + _STATICS_BLOCK_ROWS, rows)
+            fspl[lo:hi] = free_space_path_loss_db_batch(range_km[lo:hi], freq)
+            # The gas term, the cloud sine and the rain model all clamp
+            # to the same 5-deg floor, so one radians/sin serves all three.
+            rad_el = np.radians(np.maximum(elevation_deg[lo:hi], 5.0))
+            sin_blk = np.sin(rad_el)
+            sin_el[lo:hi] = sin_blk
+            gas[lo:hi] = gaseous_attenuation_db_batch_presin(freq, sin_blk)
+            if with_rain:
+                h = height[lo:hi] if station_index is None \
+                    else height[station_index[lo:hi]]
+                slant = np.where(h > 0.0, h / sin_blk, 0.0)
+                lg = slant * np.cos(rad_el)
+                rain_slant[lo:hi] = slant
+                rain_lg[lo:hi] = lg
+                rain_b[lo:hi] = 0.38 * (1.0 - np.exp(-2.0 * lg))
         return KernelStatics(
-            fspl_db=free_space_path_loss_db_batch(range_km, freq),
-            gas_db=gaseous_attenuation_db_batch(freq, elevation_deg),
+            fspl_db=fspl,
+            gas_db=gas,
             sin_el=sin_el,
             rain_slant=rain_slant,
             rain_lg=rain_lg,

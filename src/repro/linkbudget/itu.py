@@ -582,6 +582,21 @@ def gaseous_attenuation_db(frequency_ghz: float, elevation_deg: float) -> float:
 def gaseous_attenuation_db_batch(frequency_ghz: float,
                                  elevation_deg: np.ndarray) -> np.ndarray:
     """Vectorized :func:`gaseous_attenuation_db` over an elevation array."""
-    zenith = _gas_zenith_db(frequency_ghz)
     el = np.maximum(np.asarray(elevation_deg, dtype=float), 5.0)
-    return zenith / np.sin(np.radians(el))
+    return gaseous_attenuation_db_batch_presin(
+        frequency_ghz, np.sin(np.radians(el))
+    )
+
+
+def gaseous_attenuation_db_batch_presin(
+    frequency_ghz: float, sin_elevation: np.ndarray
+) -> np.ndarray:
+    """:func:`gaseous_attenuation_db_batch` with the elevation sine hoisted.
+
+    ``sin_elevation`` must equal ``np.sin(np.radians(np.maximum(el, 5.0)))``
+    element-wise, the same sine :func:`cloud_attenuation_db_batch_presin`
+    takes; the single divide is then bit-identical to the plain batch
+    call, so the kernel-statics precompute evaluates that sine once for
+    the gas, cloud and rain terms.
+    """
+    return _gas_zenith_db(frequency_ghz) / np.asarray(sin_elevation, dtype=float)

@@ -191,23 +191,21 @@ class StationGrid:
             empty = np.empty(0, dtype=np.intp)
             return empty, empty
 
-        # Expand cell hits to their member stations (CSR-style gather).
+        # Expand cell hits to their member stations (CSR-style gather),
+        # straight into flat ``sat * N + station`` keys: pairs are unique,
+        # so a value sort of the keys is the row-major (sat, station)
+        # order, and division decodes both columns without the argsort's
+        # index array and gathers.  int32 keys sort measurably faster and
+        # cover any fleet x network product below 2**31.
+        n = self.num_stations
         counts = self.cell_count[hit_cell]
-        total = int(counts.sum())
-        sat_idx = np.repeat(hit_sat, counts).astype(np.intp, copy=False)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        flat = (
-            np.arange(total)
-            - np.repeat(bounds[:-1], counts)
-            + np.repeat(self.cell_start[hit_cell], counts)
-        )
-        gs_idx = self.cell_members[flat]
-        # Row-major (sat, station) order via a single flat key: one
-        # argsort instead of a two-key lexsort (pairs are unique, so sort
-        # stability does not matter).  int32 keys sort measurably faster
-        # and cover any fleet x network product below 2**31.
-        key = sat_idx * self.num_stations + gs_idx
-        if m * self.num_stations < 2**31:
-            key = key.astype(np.int32)
-        order = np.argsort(key)
-        return sat_idx[order], gs_idx[order]
+        ends = np.cumsum(counts)
+        key_dtype = np.int32 if m * n < 2**31 else np.intp
+        key = np.repeat((hit_sat * n).astype(key_dtype), counts)
+        key += self.cell_members[
+            np.arange(int(ends[-1]))
+            + np.repeat(self.cell_start[hit_cell] - (ends - counts), counts)
+        ]
+        key.sort()
+        sat_idx = np.floor_divide(key, n, dtype=np.intp)
+        return sat_idx, key - sat_idx * n

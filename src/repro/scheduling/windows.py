@@ -68,8 +68,10 @@ _KERNEL_STATICS_MAX_ROWS = 50_000_000
 #: Scan-chunk bounds: stacked (step, satellite) rows per culled chunk,
 #: and stacked (step, satellite) x station cells per dense chunk (the
 #: dense path materializes the full matrix, so it is bounded by the
-#: product rather than the row count).
-_SCAN_CHUNK_ROWS = 200_000
+#: product rather than the row count).  A chunk's candidate and
+#: visibility temporaries are the scan's only transient memory, so the
+#: row bound is what caps it (~100 MB at 2500 x 1000 stations).
+_SCAN_CHUNK_ROWS = 20_000
 _SCAN_CHUNK_CELLS = 4_000_000
 
 __all__ = [
@@ -165,24 +167,26 @@ class ContactWindowIndex:
         num_sats = len(satellites)
         num_stations = len(network)
         counts = np.zeros(num_steps + 1, dtype=np.int64)
-        step_sats: list[np.ndarray] = []
-        step_gs: list[np.ndarray] = []
-        step_elev: list[np.ndarray] = []
-        step_rng: list[np.ndarray] = []
+        # Per-chunk visible rows, one array per column and chunk.
+        chunk_sat: list[np.ndarray] = []
+        chunk_gs: list[np.ndarray] = []
+        chunk_elev: list[np.ndarray] = []
+        chunk_rng: list[np.ndarray] = []
         # Chunk the chronological scan: stacking S steps of fleet
         # positions into one (S*M, 3) block treats (step, satellite) as a
         # single row axis, so the culling matmul and the exact elevation
         # test each run once per chunk instead of once per step.  Per-row
         # arithmetic is unchanged -- candidate refinement is exact per
-        # row and the visibility test is elementwise -- so the per-step
-        # slices are bit-identical to a step-at-a-time scan.  The dense
-        # path materializes an (S*M, N) matrix, so its chunk shrinks to
-        # keep that allocation bounded; culled scans cap only on rows.
+        # row and the visibility test is elementwise -- so the rows are
+        # bit-identical to a step-at-a-time scan whatever the chunk size.
+        # The dense path materializes an (S*M, N) matrix, so its chunk
+        # shrinks to keep that allocation bounded; culled scans cap only
+        # on rows.
         if culling is not None:
-            chunk = max(1, min(32, _SCAN_CHUNK_ROWS // max(1, num_sats)))
+            chunk = _SCAN_CHUNK_ROWS // max(1, num_sats)
         else:
-            cells = max(1, num_sats * num_stations)
-            chunk = max(1, min(32, _SCAN_CHUNK_CELLS // cells))
+            chunk = _SCAN_CHUNK_CELLS // max(1, num_sats * num_stations)
+        chunk = max(1, min(32, chunk))
         for c0 in range(0, num_steps, chunk):
             c1 = min(c0 + chunk, num_steps)
             blocks = []
@@ -195,88 +199,26 @@ class ContactWindowIndex:
                 else:
                     block = geometry.satellite_ecef(satellites, when)
                 blocks.append(block)
-            stacked = np.concatenate(blocks, axis=0)
-            span = c1 - c0
-            if culling is not None:
-                cand_sat, cand_gs = culling.candidate_pairs(stacked)
-                elev, rng, vis = _pair_visibility(
-                    geometry, stacked, cand_sat, cand_gs
-                )
-                sel = np.nonzero(vis)[0]
-                glob = cand_sat[sel]
-                g_all = cand_gs[sel].astype(np.int32)
-            else:
-                elevation, rng_km, visible = geometry.visibility(
-                    satellites, start, sat_ecef=stacked
-                )
-                glob, gi = np.nonzero(visible)
-                g_all = gi.astype(np.int32)
-                elev = elevation[glob, gi]
-                rng = rng_km[glob, gi]
-                sel = slice(None)
-            e_all = elev[sel]
-            r_all = rng[sel]
-            # Rows arrive (step, sat, station)-ordered; split per step.
-            krow = glob // num_sats
-            s_all = (glob - krow * num_sats).astype(np.int32)
-            bounds = np.searchsorted(krow, np.arange(span + 1))
-            for si in range(span):
-                lo, hi = int(bounds[si]), int(bounds[si + 1])
-                counts[c0 + si + 1] = hi - lo
-                step_sats.append(s_all[lo:hi])
-                step_gs.append(g_all[lo:hi])
-                step_elev.append(e_all[lo:hi])
-                step_rng.append(r_all[lo:hi])
+            step_counts, sat, gs, elev, rng = _scan_chunk(
+                np.concatenate(blocks, axis=0), c1 - c0, num_sats,
+                satellites, start, geometry, culling,
+            )
+            counts[c0 + 1:c1 + 1] = step_counts
+            chunk_sat.append(sat)
+            chunk_gs.append(gs)
+            chunk_elev.append(elev)
+            chunk_rng.append(rng)
 
         step_ptr = np.cumsum(counts)
         total = int(step_ptr[-1])
-        pair_sat = (
-            np.concatenate(step_sats) if total else np.empty(0, np.int32)
-        )
-        pair_gs = (
-            np.concatenate(step_gs) if total else np.empty(0, np.int32)
-        )
-        pair_elevation = (
-            np.concatenate(step_elev) if total else np.empty(0, float)
-        )
-        pair_range = (
-            np.concatenate(step_rng) if total else np.empty(0, float)
-        )
+        pair_sat = _concat_chunks(chunk_sat, np.int32)
+        pair_gs = _concat_chunks(chunk_gs, np.int32)
+        pair_elevation = _concat_chunks(chunk_elev, float)
+        pair_range = _concat_chunks(chunk_rng, float)
 
-        # Interval extraction: sort entries by (pair, step); a pass is a
-        # maximal run of consecutive steps of one pair.  Half-open spans:
-        # set_step is one past the last visible step.
-        if total:
-            entry_step = np.repeat(
-                np.arange(num_steps, dtype=np.int64), np.diff(step_ptr)
-            )
-            key = pair_sat.astype(np.int64) * num_stations + pair_gs
-            # Single-key argsort instead of a two-key lexsort: a pair
-            # appears at most once per step, so ``key * num_steps + step``
-            # is unique and sorts in the identical (pair, step) order.
-            combined = key * num_steps + entry_step
-            if num_sats * num_stations * num_steps < 2**31:
-                combined = combined.astype(np.int32)
-            order = np.argsort(combined)
-            k_sorted = key[order]
-            t_sorted = entry_step[order]
-            new_run = np.empty(total, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = (k_sorted[1:] != k_sorted[:-1]) | (
-                t_sorted[1:] != t_sorted[:-1] + 1
-            )
-            run_starts = np.flatnonzero(new_run)
-            run_ends = np.append(run_starts[1:], total) - 1
-            w_key = k_sorted[run_starts]
-            window_sat = (w_key // num_stations).astype(np.int32)
-            window_gs = (w_key % num_stations).astype(np.int32)
-            window_rise = t_sorted[run_starts].astype(np.int32)
-            window_set = (t_sorted[run_ends] + 1).astype(np.int32)
-        else:
-            window_sat = np.empty(0, np.int32)
-            window_gs = np.empty(0, np.int32)
-            window_rise = np.empty(0, np.int32)
-            window_set = np.empty(0, np.int32)
+        window_sat, window_gs, window_rise, window_set = _extract_windows(
+            pair_sat, pair_gs, step_ptr, num_sats, num_stations
+        )
 
         boundary = np.zeros(num_steps, dtype=bool)
         if num_steps:
@@ -309,8 +251,9 @@ class ContactWindowIndex:
                     ].precompute_statics(
                         pair_range,
                         pair_elevation,
-                        geometry._station_lat_deg[pair_gs],
-                        geometry._station_alt_km[pair_gs],
+                        geometry._station_lat_deg,
+                        geometry._station_alt_km,
+                        station_index=pair_gs,
                     )
 
         if recorder is not None and recorder.enabled:
@@ -451,6 +394,105 @@ class ContactWindowIndex:
                 )
             )
         return out
+
+
+def _scan_chunk(
+    stacked: np.ndarray,
+    span: int,
+    num_sats: int,
+    satellites: list[Satellite],
+    start: datetime,
+    geometry: GeometryEngine,
+    culling,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Visible rows of one stacked chunk of ``span`` steps.
+
+    ``stacked`` holds the chunk's fleet positions, step-major.  Returns
+    the per-step row counts and compact ``(sat, gs, elevation, range)``
+    columns in (step, satellite, station) order -- CSR order already.
+    The candidate and visibility temporaries die with this frame, so a
+    scan never holds more than one chunk of them.
+    """
+    if culling is not None:
+        cand_sat, cand_gs = culling.candidate_pairs(stacked)
+        elev, rng, vis = _pair_visibility(
+            geometry, stacked, cand_sat, cand_gs
+        )
+        sel = np.flatnonzero(vis)
+        glob, gi, elev, rng = cand_sat[sel], cand_gs[sel], elev[sel], rng[sel]
+    else:
+        elevation, rng_km, visible = geometry.visibility(
+            satellites, start, sat_ecef=stacked
+        )
+        glob, gi = np.nonzero(visible)
+        elev = elevation[glob, gi]
+        rng = rng_km[glob, gi]
+    krow = glob // num_sats
+    return (
+        np.bincount(krow, minlength=span),
+        (glob - krow * num_sats).astype(np.int32),
+        gi.astype(np.int32),
+        elev,
+        rng,
+    )
+
+
+def _extract_windows(
+    pair_sat: np.ndarray,
+    pair_gs: np.ndarray,
+    step_ptr: np.ndarray,
+    num_sats: int,
+    num_stations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pass records ``(sat, gs, rise_step, set_step)`` from the CSR rows.
+
+    A pass is a maximal run of consecutive steps of one pair, in (pair,
+    rise) order; spans are half-open, ``set_step`` one past the last
+    visible step.  Each row is coded as ``key * (num_steps + 1) + step``:
+    the code is unique (a pair appears at most once per step) and sorts
+    in (pair, step) order, so one value sort orders every row, and the
+    unused code after each pair's last possible step means two rows
+    continue a run exactly when their codes differ by one.
+    """
+    total = int(step_ptr[-1])
+    if not total:
+        return tuple(np.empty(0, np.int32) for _ in range(4))
+    num_steps = step_ptr.size - 1
+    stride = num_steps + 1
+    code_dtype = (
+        np.int32 if num_sats * num_stations * stride < 2**31 else np.int64
+    )
+    code = pair_sat.astype(code_dtype)
+    code *= num_stations
+    code += pair_gs
+    code *= stride
+    code += np.repeat(
+        np.arange(num_steps, dtype=code_dtype), np.diff(step_ptr)
+    )
+    code.sort()
+    new_run = np.empty(total, dtype=bool)
+    new_run[0] = True
+    np.not_equal(np.diff(code), 1, out=new_run[1:])
+    run_starts = np.flatnonzero(new_run)
+    run_ends = np.append(run_starts[1:], total) - 1
+    key, rise = np.divmod(code[run_starts], stride)
+    return (
+        (key // num_stations).astype(np.int32),
+        (key % num_stations).astype(np.int32),
+        rise.astype(np.int32),
+        (code[run_ends] % stride + 1).astype(np.int32),
+    )
+
+
+def _concat_chunks(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """Concatenate one column's chunk arrays, then empty the list.
+
+    Emptying the list frees the chunks as soon as the column exists, so
+    building the four CSR columns holds at most one column twice.
+    """
+    out = np.concatenate(chunks) if chunks else np.empty(0, dtype)
+    chunks.clear()
+    return out
 
 
 # --------------------------------------------------------------------------

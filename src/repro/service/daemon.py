@@ -20,8 +20,10 @@ POST   ``/outages``          submit an :class:`OutageNotice`
 POST   ``/shutdown``         finalize and return the full report
 ====== ===================== ==========================================
 
-Validation errors map to 400 with ``{"error": ...}``; unknown paths to
-404; events after finalization to 409.
+Validation errors -- a body that is not a JSON object where one is
+required, a missing field, a field of the wrong JSON type -- map to 400
+with ``{"error": ...}``; unknown paths to 404; events after finalization
+to 409.
 """
 
 from __future__ import annotations
@@ -41,7 +43,23 @@ from repro.simulation.session import (
 )
 
 
-def _submit_requests_from(payload: dict) -> list[SubmitRequest]:
+def _json_object(payload) -> dict:
+    """``payload`` itself when it is a JSON object, else a ``ValueError``."""
+    if not isinstance(payload, dict):
+        raise ValueError("request body must be a JSON object")
+    return payload
+
+
+def _coerced(build, payload):
+    """``build(payload)``, with a field of the wrong JSON type (``float({})``,
+    ``int([1])``) raised as the ``ValueError`` the 400 contract expects."""
+    try:
+        return build(payload)
+    except TypeError as exc:
+        raise ValueError(f"field of the wrong JSON type: {exc}") from None
+
+
+def _submit_requests_from(payload) -> list[SubmitRequest]:
     """Parse ``{"requests": [...]}`` (or one bare request object)."""
     raw = payload.get("requests", [payload]) if isinstance(payload, dict) \
         else payload
@@ -78,6 +96,25 @@ def _submit_requests_from(payload: dict) -> list[SubmitRequest]:
     return events
 
 
+def _quota_from(payload) -> QuotaUpdate:
+    """Parse a ``{"tenant_id", "quota_gb_per_day"}`` object."""
+    fields = _json_object(payload)
+    return QuotaUpdate(
+        tenant_id=str(fields["tenant_id"]),
+        quota_gb_per_day=float(fields["quota_gb_per_day"]),
+    )
+
+
+def _outage_from(payload) -> OutageNotice:
+    """Parse a ``{"station_id", "start", "end"}`` object (ISO 8601)."""
+    fields = _json_object(payload)
+    return OutageNotice(
+        station_id=str(fields["station_id"]),
+        start=datetime.fromisoformat(str(fields["start"])),
+        end=datetime.fromisoformat(str(fields["end"])),
+    )
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs to the owning :class:`SchedulerService`."""
 
@@ -98,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
+    def _read_json(self):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -128,24 +165,14 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         try:
             if parsed.path == "/requests":
-                payload = self._read_json()
-                acks = self.service.submit(_submit_requests_from(payload))
-                self._reply(200, {"acks": acks})
+                events = _coerced(_submit_requests_from, self._read_json())
+                self._reply(200, {"acks": self.service.submit(events)})
             elif parsed.path == "/quota":
-                payload = self._read_json()
-                acks = self.service.submit([QuotaUpdate(
-                    tenant_id=str(payload["tenant_id"]),
-                    quota_gb_per_day=float(payload["quota_gb_per_day"]),
-                )])
-                self._reply(200, {"acks": acks})
+                event = _coerced(_quota_from, self._read_json())
+                self._reply(200, {"acks": self.service.submit([event])})
             elif parsed.path == "/outages":
-                payload = self._read_json()
-                acks = self.service.submit([OutageNotice(
-                    station_id=str(payload["station_id"]),
-                    start=datetime.fromisoformat(str(payload["start"])),
-                    end=datetime.fromisoformat(str(payload["end"])),
-                )])
-                self._reply(200, {"acks": acks})
+                event = _coerced(_outage_from, self._read_json())
+                self._reply(200, {"acks": self.service.submit([event])})
             elif parsed.path == "/shutdown":
                 report = self.service.finalize()
                 self._reply(200, {"report": report.to_dict()})

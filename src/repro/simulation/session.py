@@ -37,6 +37,7 @@ import contextlib
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
+from repro.demand.tenant import check_quota_gb_per_day
 from repro.obs import build_manifest
 from repro.simulation.metrics import GB_TO_BITS, SimulationReport
 
@@ -241,8 +242,7 @@ class SimulationSession:
             if event.chunks < 1:
                 raise ValueError("SubmitRequest.chunks must be >= 1")
         elif isinstance(event, QuotaUpdate):
-            if event.quota_gb_per_day < 0.0:
-                raise ValueError("quota_gb_per_day must be >= 0")
+            check_quota_gb_per_day(event.quota_gb_per_day)
         elif isinstance(event, OutageNotice):
             if event.station_id not in self._station_ids:
                 raise ValueError(f"unknown station {event.station_id!r}")

@@ -92,6 +92,14 @@ class TestQuota:
         acct = TenantAccountant(TENANTS, start=EPOCH)
         assert acct.under_quota("stranger", EPOCH)
 
+    @pytest.mark.parametrize("quota", [-1.0, float("nan"), float("inf")])
+    def test_set_quota_rejects_invalid_and_keeps_old(self, quota):
+        acct = TenantAccountant(TENANTS, start=EPOCH)
+        with pytest.raises(ValueError, match="quota_gb_per_day"):
+            acct.set_quota("metered", quota)
+        assert acct.summary()["metered"]["quota_gb_per_day"] == 10.0
+        assert acct.under_quota("metered", EPOCH)
+
 
 class TestRunEnd:
     def _satellite(self, onboard=(), unacked=()):

@@ -29,6 +29,11 @@ class TestTenantValidation:
         with pytest.raises(ValueError, match="quota"):
             Tenant("acme", quota_gb_per_day=-1.0)
 
+    @pytest.mark.parametrize("quota", [float("nan"), float("inf")])
+    def test_non_finite_quota(self, quota):
+        with pytest.raises(ValueError, match="quota_gb_per_day"):
+            Tenant("acme", quota_gb_per_day=quota)
+
     def test_invalid_sla(self):
         with pytest.raises(ValueError, match="sla"):
             Tenant("acme", sla_deadline_s=0.0)

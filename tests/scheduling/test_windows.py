@@ -5,8 +5,9 @@ Equivalence against the per-step scheduling paths lives in
 contracts -- that the stored per-step pair sets are exactly what direct
 geometry computes, that pass intervals are half-open ``[rise, set)``,
 that the scalar :class:`PassPredictor` brackets the step-sampled
-windows, and that the session cache returns the same object without
-re-scanning.
+windows, that scan-chunk and statics-block sizes bound memory without
+changing a bit of the result, and that the session cache returns the
+same object without re-scanning.
 """
 
 from datetime import datetime, timedelta
@@ -14,7 +15,10 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+import repro.linkbudget.budget as budget_module
+import repro.scheduling.windows as windows_module
 from repro.groundstations.network import satnogs_like_network
+from repro.linkbudget.budget import LinkBudget, baseline_receiver
 from repro.obs.recorder import Recorder
 from repro.orbits.constellation import synthetic_leo_constellation
 from repro.orbits.ephemeris import (
@@ -24,9 +28,11 @@ from repro.orbits.ephemeris import (
 )
 from repro.orbits.passes import PassPredictor
 from repro.satellites.satellite import Satellite
-from repro.scheduling.graph import GeometryEngine
+from repro.scheduling.culling import StationGrid
+from repro.scheduling.graph import GeometryEngine, PairGroupCache
 from repro.scheduling.windows import (
     ContactWindowIndex,
+    _extract_windows,
     clear_window_index_cache,
     shared_window_index,
 )
@@ -131,6 +137,149 @@ class TestCsrAgainstDirectGeometry:
         assert np.array_equal(monolithic.pair_elevation,
                               streamed.pair_elevation)
         assert np.array_equal(monolithic.pair_range, streamed.pair_range)
+
+
+_INDEX_ARRAYS = (
+    "step_ptr", "pair_sat", "pair_gs", "pair_elevation", "pair_range",
+    "window_sat", "window_gs", "window_rise_step", "window_set_step",
+    "boundary", "_segment",
+)
+_STATICS_COLUMNS = (
+    "fspl_db", "gas_db", "sin_el", "rain_slant", "rain_lg", "rain_b",
+)
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestBuildInvariance:
+    """Scan-chunk and statics-block sizes bound the build's transient
+    memory; no size may change a bit of the index or its statics."""
+
+    @staticmethod
+    def _two_class_build(culled=True):
+        satellites = _fleet()
+        network = satnogs_like_network(30, seed=13)
+        # Half the stations get the 4 m baseline dish: two hardware
+        # classes, so two sets of statics columns.
+        for j, station in enumerate(network):
+            if j % 2:
+                station.receiver = baseline_receiver()
+        geometry = GeometryEngine(network)
+        budgets: dict = {}
+
+        def link_budget_for(sat, j):
+            return budgets.setdefault(
+                (id(sat.radio), j),
+                LinkBudget(radio=sat.radio, receiver=network[j].receiver),
+            )
+
+        pair_groups = PairGroupCache(len(satellites), len(network))
+        index = _build(
+            satellites, network, geometry=geometry,
+            culling=StationGrid(network) if culled else None,
+            link_budget_for=link_budget_for, pair_groups=pair_groups,
+        )
+        return index, geometry, pair_groups
+
+    @pytest.mark.parametrize("culled", [True, False])
+    @pytest.mark.parametrize("chunk_steps, block_rows", [
+        (1, None),     # one step per scan chunk
+        (7, None),     # 7 does not divide the 180 steps
+        (None, 997),   # statics blocks far smaller than the row count
+        (1, 997),
+    ])
+    def test_chunk_and_block_sizes_are_bit_identical(
+        self, monkeypatch, culled, chunk_steps, block_rows
+    ):
+        default, _, _ = self._two_class_build(culled)
+        rows = int(default.step_ptr[-1])
+        assert rows > 2 * 997
+        assert len(default._kernel_statics) == 2
+        if chunk_steps is not None:
+            # 25 satellites x 30 stations: these constants give exactly
+            # ``chunk_steps`` steps per chunk on either scan path.
+            monkeypatch.setattr(
+                windows_module, "_SCAN_CHUNK_ROWS", chunk_steps * 25
+            )
+            monkeypatch.setattr(
+                windows_module, "_SCAN_CHUNK_CELLS", chunk_steps * 25 * 30
+            )
+        if block_rows is not None:
+            monkeypatch.setattr(
+                budget_module, "_STATICS_BLOCK_ROWS", block_rows
+            )
+        rebuilt, _, _ = self._two_class_build(culled)
+        for name in _INDEX_ARRAYS:
+            assert _same_bits(getattr(default, name),
+                              getattr(rebuilt, name)), name
+        assert rebuilt._kernel_statics.keys() == default._kernel_statics.keys()
+        for gid, statics in default._kernel_statics.items():
+            for column in _STATICS_COLUMNS:
+                assert _same_bits(
+                    getattr(statics, column),
+                    getattr(rebuilt._kernel_statics[gid], column),
+                ), (gid, column)
+
+    def test_blockwise_statics_match_full_column_precompute(
+        self, monkeypatch
+    ):
+        """Per-station rain height + small blocks == the plain precompute
+        on whole per-row columns, for each of two hardware classes."""
+        monkeypatch.setattr(budget_module, "_STATICS_BLOCK_ROWS", 997)
+        index, geometry, pair_groups = self._two_class_build()
+        rows = int(index.step_ptr[-1])
+        assert len(index._kernel_statics) == 2
+        monkeypatch.setattr(budget_module, "_STATICS_BLOCK_ROWS", rows)
+        for gid, statics in index._kernel_statics.items():
+            full = pair_groups.budget_of[gid].precompute_statics(
+                index.pair_range,
+                index.pair_elevation,
+                geometry._station_lat_deg[index.pair_gs],
+                geometry._station_alt_km[index.pair_gs],
+            )
+            for column in _STATICS_COLUMNS:
+                assert _same_bits(getattr(statics, column),
+                                  getattr(full, column)), (gid, column)
+
+
+class TestWindowExtraction:
+    @staticmethod
+    def _runs(visible):
+        """Reference: each pair's maximal runs, by a plain scan."""
+        num_steps, num_sats, num_stations = visible.shape
+        out = []
+        for s in range(num_sats):
+            for g in range(num_stations):
+                k = 0
+                while k < num_steps:
+                    if not visible[k, s, g]:
+                        k += 1
+                        continue
+                    rise = k
+                    while k < num_steps and visible[k, s, g]:
+                        k += 1
+                    out.append((s, g, rise, k))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pair_run_scan(self, seed):
+        """Dense random visibility: many pairs visible at the last step
+        next to pairs visible at step 0, whose sort codes are adjacent
+        unless the code leaves a gap after each pair's last step."""
+        rng = np.random.default_rng(seed)
+        visible = rng.random((9, 3, 4)) < 0.6
+        ks, ss, gs = np.nonzero(visible)  # CSR order: step, sat, station
+        step_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(ks, minlength=9)))
+        )
+        got = _extract_windows(
+            ss.astype(np.int32), gs.astype(np.int32), step_ptr, 3, 4
+        )
+        assert all(w.dtype == np.int32 for w in got)
+        assert list(zip(*(w.tolist() for w in got))) == self._runs(visible)
 
 
 class TestStepOf:

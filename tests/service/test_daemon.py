@@ -175,6 +175,39 @@ class TestErrorContract:
         assert response.status == 400
         assert "not valid JSON" in body["error"]
 
+    def test_non_object_body_400(self, daemon):
+        """A JSON value other than an object where one is required used
+        to raise TypeError in the handler and drop the connection."""
+        _service, call = daemon
+        for path in ("/quota", "/outages"):
+            for body in ([1, 2], "abc", []):
+                status, reply = call("POST", path, body)
+                assert status == 400, (path, body)
+                assert "JSON object" in reply["error"]
+        assert call("GET", "/healthz")[0] == 200
+
+    def test_wrong_field_type_400(self, daemon):
+        service, call = daemon
+        sat = service.session.simulation.satellites[0].satellite_id
+        for path, body in (
+            ("/quota", {"tenant_id": "premium", "quota_gb_per_day": {}}),
+            ("/requests", {"request_id": "x", "tenant_id": "premium",
+                           "satellite_id": sat, "chunks": [1]}),
+        ):
+            status, reply = call("POST", path, body)
+            assert status == 400, (path, body)
+            assert "wrong JSON type" in reply["error"]
+        assert service.session.snapshot()["pending_events"] == 0
+
+    def test_non_finite_quota_400(self, daemon):
+        _service, call = daemon
+        for quota in ("nan", "inf", "-inf"):
+            status, reply = call("POST", "/quota",
+                                 {"tenant_id": "premium",
+                                  "quota_gb_per_day": quota})
+            assert status == 400, quota
+            assert "quota_gb_per_day" in reply["error"]
+
     def test_bad_since_400(self, daemon):
         _service, call = daemon
         status, body = call("GET", "/plan/deltas?since=minus-one")

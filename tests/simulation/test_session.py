@@ -94,6 +94,21 @@ class TestIngestSemantics:
         assert not session._pending
         assert "req-ok" not in session._seen_request_ids
 
+    @pytest.mark.parametrize("quota", [float("nan"), float("inf")])
+    def test_non_finite_quota_rejects_batch(self, quota):
+        """``nan < 0`` is False, so a plain sign check queued NaN quotas;
+        the tenant then priced as over quota for good and the report
+        JSON carried a bare ``NaN``."""
+        session = SimulationSession(tenant_spec())
+        sat = session.simulation.satellites[0].satellite_id
+        with pytest.raises(ValueError, match="quota_gb_per_day"):
+            session.ingest([
+                SubmitRequest("req-ok", "premium", sat),
+                QuotaUpdate("premium", quota),
+            ])
+        assert session.snapshot()["pending_events"] == 0
+        assert "req-ok" not in session._seen_request_ids
+
     def test_ingest_after_advance_applies_at_next_tick(self):
         """Events land at the *next* tick boundary, never retroactively."""
         session = SimulationSession(tenant_spec())
