@@ -5,6 +5,9 @@ pytest-benchmark's statistical timing: SGP4 propagation, vectorized
 visibility, contact-graph pricing, and the three matchers.  They guard
 against performance regressions that would make full-scale reproduction
 impractical (a simulated day is ~1440 of each of these per scenario).
+The dense-visibility and scalar rows time the test oracle
+(``tests/oracle.py``), the reference the production path is measured
+against.
 """
 
 import time
@@ -28,6 +31,7 @@ from repro.scheduling.matching import (
 )
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
+from tests.oracle import dense_visibility, use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -56,9 +60,12 @@ def test_bench_sgp4_propagation(benchmark, world):
 
 
 def test_bench_visibility_matrix(benchmark, world):
+    """Per-satellite propagation + the oracle's dense M x N visibility."""
     fleet, network, _scheduler = world
     engine = GeometryEngine(network)
-    benchmark(engine.visibility, fleet, EPOCH)
+    benchmark(
+        lambda: dense_visibility(engine, engine.satellite_ecef(fleet, EPOCH))
+    )
 
 
 def test_bench_ephemeris_table(benchmark, world):
@@ -73,22 +80,21 @@ def test_bench_contact_graph(benchmark, world):
 
 
 def test_bench_contact_graph_scalar(benchmark, world):
-    """The per-pair reference path, for before/after comparison."""
+    """The per-pair scalar oracle, for before/after comparison."""
     fleet, network, _scheduler = world
-    scheduler = DownlinkScheduler(
+    scheduler = use_oracle(DownlinkScheduler(
         fleet, network, LatencyValue(), weather=build_paper_weather(),
-        batched=False,
-    )
+    ))
     benchmark(scheduler.contact_graph, EPOCH)
 
 
 def test_bench_contact_graph_batched_with_ephemeris(benchmark, world):
-    """The production configuration: ephemeris table + batched kernel."""
+    """Ephemeris table + batched kernel, one scan step per instant."""
     fleet, network, _scheduler = world
     table = shared_ephemeris_table(fleet, EPOCH, 120, 60.0)
     scheduler = DownlinkScheduler(
         fleet, network, LatencyValue(), weather=build_paper_weather(),
-        ephemeris=table, batched=True,
+        ephemeris=table,
     )
     benchmark(scheduler.contact_graph, EPOCH)
 
@@ -96,11 +102,11 @@ def test_bench_contact_graph_batched_with_ephemeris(benchmark, world):
 def test_contact_graph_speedup_paper_scale():
     """Acceptance gate: >= 3x on the paper's 259 x 173 scenario.
 
-    Times ``num_steps`` minutes of graph construction through both paths
-    (each including its own propagation strategy: per-satellite SGP4 for
-    the scalar path, the shared ephemeris table for the batched one) and
-    asserts the ratio.  Not a pytest-benchmark fixture on purpose -- the
-    two sides must run the same instants back to back.
+    Times ``num_steps`` minutes of graph construction through the scalar
+    oracle (``tests/oracle.py``, per-satellite SGP4) and production (the
+    shared ephemeris table, one scan step per instant) and asserts the
+    ratio.  Not a pytest-benchmark fixture on purpose -- the two sides
+    must run the same instants back to back.
     """
     num_steps = 50
 
@@ -109,12 +115,13 @@ def test_contact_graph_speedup_paper_scale():
         for sat in fleet:
             sat.generate_data(EPOCH - timedelta(hours=1), 3600.0)
         network = satnogs_like_network(173, seed=11)
-        table = None
-        if batched:
-            table = shared_ephemeris_table(fleet, EPOCH, num_steps, 60.0)
+        if not batched:
+            return use_oracle(DownlinkScheduler(
+                fleet, network, LatencyValue(), weather=build_paper_weather(),
+            ))
         return DownlinkScheduler(
             fleet, network, LatencyValue(), weather=build_paper_weather(),
-            ephemeris=table, batched=batched,
+            ephemeris=shared_ephemeris_table(fleet, EPOCH, num_steps, 60.0),
         )
 
     def run(scheduler):
@@ -179,7 +186,7 @@ def test_deadline_pricing_overhead_paper_scale():
     def build(value_function):
         return DownlinkScheduler(
             fleet, network, value_function, weather=build_paper_weather(),
-            ephemeris=table, batched=True,
+            ephemeris=table,
         )
 
     def run(scheduler):

@@ -45,18 +45,18 @@ def link_choice_demo() -> None:
     network = satnogs_like_network(30, seed=11)
     satellites[0].generate_data(EPOCH - timedelta(hours=1), 3600.0)
 
-    # Find an instant where the satellite sees at least two stations.
+    # Find an instant where the satellite has a usable link to at least
+    # two stations (in sight is not enough: the link must also close).
     clear = DGSNetwork(satellites=satellites, network=network, weather=ClearSkyProvider())
-    when, pairs = None, []
+    when = None
     probe = EPOCH
     for _ in range(24 * 60):
-        pairs = clear.visible_pairs(probe)
-        if len(pairs) >= 2:
+        if clear.schedule(probe).num_edges >= 2:
             when = probe
             break
         probe += timedelta(minutes=1)
     if when is None:
-        print("satellite never sees two stations at once; re-seed")
+        print("satellite never links to two stations at once; re-seed")
         return
 
     step = clear.schedule(when)

@@ -138,10 +138,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             station_fraction=args.fraction,
             num_stations=args.stations,
             constellation=args.constellation,
-            spatial_culling=not args.no_culling,
             ephemeris_dtype=args.ephemeris_dtype,
             ephemeris_window_steps=args.ephemeris_window,
-            contact_windows=not args.no_window_index,
             **common,
         )
     sim = spec.build().simulation
@@ -285,7 +283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     spec = ScenarioSpec.dgs(
         num_satellites=args.satellites, num_stations=args.stations,
         duration_s=args.hours * 3600.0, value=args.value, tenants=tenants,
-        contact_windows=not args.no_window_index,
     )
     service = SchedulerService(
         SimulationSession(spec), host=args.host, port=args.port,
@@ -407,11 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constellation", choices=("paper", "walker"),
                    default="paper",
                    help="fleet synthesis: paper EO mix or Walker-delta shell")
-    p.add_argument("--no-culling", action="store_true",
-                   help="disable the spatial-culling prefilter (dense path)")
-    p.add_argument("--no-window-index", action="store_true",
-                   help="disable the contact-window index (per-step "
-                        "candidate generation; bit-identical reports)")
     p.add_argument("--ephemeris-dtype", choices=("float64", "float32"),
                    default="float64",
                    help="ephemeris storage precision")
@@ -480,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pace", type=float, default=0.0, metavar="SECONDS",
                    help="sleep between ticks so clients can steer the "
                         "plan (0 = free-running)")
-    p.add_argument("--no-window-index", action="store_true",
-                   help="disable the contact-window index for the served "
-                        "session (bit-identical reports)")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="write the final simulation report as JSON")
     p.set_defaults(func=_cmd_serve)

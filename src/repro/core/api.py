@@ -163,9 +163,13 @@ class DGSNetwork:
     # -- convenience ---------------------------------------------------------------
 
     def visible_pairs(self, when: datetime) -> list[tuple[int, int]]:
-        """(satellite_index, station_index) pairs currently in sight."""
-        graph = self._scheduler.contact_graph(when)
-        return [(e.satellite_index, e.station_index) for e in graph.edges]
+        """(satellite_index, station_index) pairs currently in sight.
+
+        Every pair above its station's elevation mask, whether or not
+        the link closes or the satellite has data to send.
+        """
+        sat, gs, _elevation, _range = self._scheduler.visible_pairs(when)
+        return list(zip(sat.tolist(), gs.tolist()))
 
     def next_contact(self, satellite: Satellite, start: datetime,
                      search_hours: float = 24.0) -> tuple[GroundStation, ContactWindow] | None:

@@ -20,8 +20,8 @@ pure accounting plus the deterministic per-copy randomness.
 Determinism contract: a draw depends only on
 ``(seed, satellite_id, station_id, timestamp)`` -- never on evaluation
 order, process, or whether the link budget ran scalar or batched -- so
-diversity runs are bit-reproducible and scalar/batched paths stay
-bit-identical.
+diversity runs are bit-reproducible, on production and on the test
+oracle alike.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ permissive elevation mask.  The spherical-Earth bound
 (the closed-form regional-coverage geometry) is padded by the cell's
 circumradius plus a fixed margin covering Earth oblateness and the
 geodetic-vs-geocentric horizon deviation, so the candidate set is always
-a superset of the truly visible pairs -- the property the equivalence
-tests pin (culling on vs off produces bit-identical contact graphs).
+a superset of the truly visible pairs -- the property that lets the
+scan (:meth:`repro.scheduling.graph.GeometryEngine.scan_visible`) find
+exactly the pairs a dense elevation matrix would, bit for bit.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class StationGrid:
 
         ``sat_ecef`` is the fleet's ``(M, 3)`` ECEF positions (km).  The
         result is sorted lexicographically by (satellite, station) -- the
-        same row-major order ``np.nonzero`` gives the dense path -- and is
+        same row-major order ``np.nonzero`` gives a dense matrix -- and is
         a superset of the geometrically visible pairs.
         """
         sat_ecef = np.asarray(sat_ecef, dtype=float)

@@ -5,16 +5,23 @@ satellites and ground stations: an edge exists when the satellite is above
 the station's elevation mask and the station's constraint bitmap allows it;
 the edge weight is the value function applied to the link-model bitrate.
 
-Everything numeric is vectorized: station ECEF positions and ENU bases are
-precomputed once, satellite positions come from the shared
-:class:`~repro.orbits.ephemeris.EphemerisTable` when one covers the
-instant (one batched SGP4 pass per fleet per horizon, reused across
-experiment variants), and the full M x N elevation/range matrix is a
-handful of numpy operations.  Edge pricing runs the batched link-budget
-kernel (:meth:`LinkBudget.evaluate_batch`) over all visible pairs at once
--- FSPL, ITU rain/cloud/gas, and MODCOD selection as array expressions --
-instead of a per-pair scalar call.  The original per-pair loop is kept as
-the reference path (``batched=False``) for the equivalence tests.
+:func:`build_contact_graph` has one path, in two stages:
+
+1. The **pair source** (:func:`pair_source`) returns the visible
+   ``(satellite, station, elevation_deg, range_km)`` rows, row-major by
+   (satellite, station).  On the step grid of a
+   :class:`~repro.scheduling.windows.ContactWindowIndex` they are two
+   pointer reads into the precomputed pass structure; any other instant
+   runs one step of the same scan the index build runs per chunk
+   (:meth:`GeometryEngine.scan_visible`: the regional-coverage prefilter,
+   then the exact elevation-mask test on the candidates).
+2. The **mask-and-price tail** (:func:`_mask_and_price`) drops pairs the
+   scheduler may not use (announced outages, constraint bitmaps, plan
+   gating) and prices the rest through the batched link-budget kernel
+   (:meth:`LinkBudget.evaluate_batch`) and the value function.
+
+The scalar per-pair reference path and the dense ``M x N`` visibility
+matrix live on only as the test oracle (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.linkbudget.budget import KernelStatics, LinkBudget
 from repro.orbits.frames import geodetic_to_ecef
 from repro.orbits.timebase import datetime_to_jd, gmst_rad
 from repro.satellites.satellite import Satellite
+from repro.scheduling.culling import StationGrid
 from repro.scheduling.value_functions import ValueFunction
 from repro.weather.cells import WeatherSample
 
@@ -39,6 +47,10 @@ if TYPE_CHECKING:
 #: Forecast oracle: (lat, lon, valid_at) -> WeatherSample, already bound to
 #: an issue time by the caller.
 ForecastFn = Callable[[float, float, datetime], WeatherSample]
+
+#: Visible pairs at one instant: ``(satellite, station, elevation_deg,
+#: range_km)`` arrays, row-major by (satellite, station).
+Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class ContactEdge(NamedTuple):
@@ -64,9 +76,9 @@ class EdgeColumns(NamedTuple):
     """Column-array form of a graph's edges, in edge order.
 
     The sparse contact-graph representation: seven parallel arrays
-    instead of a list of :class:`ContactEdge` objects.  The batched build
-    paths produce this directly (never constructing per-edge objects) and
-    the matchers consume it directly, so at mega-constellation scale no
+    instead of a list of :class:`ContactEdge` objects.  The pricing tail
+    produces this directly (never constructing per-edge objects) and the
+    matchers consume it directly, so at mega-constellation scale no
     per-edge Python object exists unless something asks for ``.edges``.
     """
 
@@ -99,10 +111,10 @@ class EdgeColumns(NamedTuple):
 class ContactGraph:
     """The bipartite graph for one instant.
 
-    Holds either an edge-object list (the scalar reference path) or
-    :class:`EdgeColumns` arrays (the batched paths); each representation
-    converts to the other lazily and the conversion round-trips bit-exact,
-    so consumers see identical values whichever path built the graph.
+    Holds either an edge-object list (value functions priced per edge)
+    or :class:`EdgeColumns` arrays (vectorized pricing); each
+    representation converts to the other lazily and the conversion
+    round-trips bit-exact, so consumers see identical values either way.
     """
 
     __slots__ = ("when", "num_satellites", "num_stations",
@@ -122,6 +134,13 @@ class ContactGraph:
         #: call (O(E) once, then O(degree) per call).
         self._by_satellite: list[list[ContactEdge]] | None = None
         self._by_station: list[list[ContactEdge]] | None = None
+
+    @classmethod
+    def empty(cls, when: datetime, num_satellites: int,
+              num_stations: int) -> "ContactGraph":
+        """The edgeless graph (an instant with no pair in a pass)."""
+        return cls(when, columns=_empty_columns(),
+                   num_satellites=num_satellites, num_stations=num_stations)
 
     @property
     def edges(self) -> list[ContactEdge]:
@@ -187,14 +206,12 @@ class ContactGraph:
 
 
 class GeometryEngine:
-    """Precomputed station geometry + vectorized visibility evaluation."""
+    """Precomputed station geometry and the visible-pair scan."""
 
     def __init__(self, network: GroundStationNetwork):
         self.network = network
         positions = []
         ups = []
-        easts = []
-        norths = []
         for st in network:
             positions.append(
                 geodetic_to_ecef(st.latitude_deg, st.longitude_deg, st.altitude_km)
@@ -208,18 +225,8 @@ class GeometryEngine:
                     math.sin(lat),
                 ]
             )
-            easts.append([-math.sin(lon), math.cos(lon), 0.0])
-            norths.append(
-                [
-                    -math.sin(lat) * math.cos(lon),
-                    -math.sin(lat) * math.sin(lon),
-                    math.cos(lat),
-                ]
-            )
         self._station_ecef = np.array(positions)  # (N, 3)
-        self._up = np.array(ups)
-        self._east = np.array(easts)
-        self._north = np.array(norths)
+        self._up = np.array(ups)  # geodetic zenith unit vectors
         self._min_elevation = np.array([st.min_elevation_deg for st in network])
         self._sin_min_elevation = np.sin(np.radians(self._min_elevation))
         # Per-station scalars the batched budget kernel consumes.
@@ -228,6 +235,9 @@ class GeometryEngine:
         self._can_transmit = np.array(
             [st.can_transmit for st in network], dtype=bool
         )
+        #: Coarse-cell candidate prefilter (the regional-coverage bound,
+        #: arXiv 1910.10704): the scan's first stage.
+        self.grid = StationGrid(network)
 
     def satellite_ecef(self, satellites: list[Satellite],
                        when: datetime) -> np.ndarray:
@@ -244,27 +254,112 @@ class GeometryEngine:
             sat_ecef[i] = rot @ pos_teme
         return sat_ecef
 
-    def visibility(
-        self,
-        satellites: list[Satellite],
-        when: datetime,
-        sat_ecef: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(elevation_deg, range_km, visible_mask) matrices, shape (M, N).
+    def scan_visible(self, positions: np.ndarray, recorder=None) -> Pairs:
+        """Visible ``(row, station, elevation_deg, range_km)`` of a block.
 
-        ``sat_ecef`` short-circuits propagation with precomputed fleet
-        positions (an :class:`EphemerisTable` row).
+        The one visibility scan: the grid's candidate pairs (a
+        conservative superset of the visible ones), then the exact
+        elevation-mask test on the candidates only, in row-major
+        (row, station) order.  ``positions`` is ``(R, 3)`` ECEF km: one
+        fleet for an instant off the window index's grid, or several
+        steps' fleets stacked step-major when the index build scans a
+        chunk.  ``recorder`` receives the candidate counters.
         """
-        if sat_ecef is None:
-            sat_ecef = self.satellite_ecef(satellites, when)
-        # rel[i, j] = satellite i relative to station j.
-        rel = sat_ecef[:, None, :] - self._station_ecef[None, :, :]
-        rng = np.linalg.norm(rel, axis=2)
-        up_component = np.einsum("ijk,jk->ij", rel, self._up)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            elevation = np.degrees(np.arcsin(np.clip(up_component / rng, -1.0, 1.0)))
-        visible = elevation > self._min_elevation[None, :]
-        return elevation, rng, visible
+        cand_sat, cand_gs = self.grid.candidate_pairs(positions)
+        elevation, rng, visible = _pair_visibility(
+            self, positions, cand_sat, cand_gs
+        )
+        if recorder is not None and recorder.enabled:
+            recorder.counter("candidate_pairs", int(cand_sat.size))
+            recorder.counter(
+                "culled_pairs",
+                len(positions) * self.grid.num_stations - int(cand_sat.size),
+            )
+        sel = np.flatnonzero(visible)
+        return cand_sat[sel], cand_gs[sel], elevation[sel], rng[sel]
+
+
+def _pair_visibility(
+    geometry: GeometryEngine,
+    sat_ecef: np.ndarray,
+    sat_idx: np.ndarray,
+    gs_idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair (elevation_deg, range_km, visible) for candidate pairs.
+
+    Subtract, norm, 3-term dot and arcsin per pair -- element for element
+    the arithmetic of a dense ``M x N`` elevation matrix, restricted to
+    the candidates, so every pair that passes the sine-space prescreen
+    has the elevation/range the dense matrix would hold, and the
+    prescreen only prunes pairs below every mask.
+    """
+    rel = sat_ecef[sat_idx] - geometry._station_ecef[gs_idx]
+    rng = np.linalg.norm(rel, axis=1)
+    up_component = np.einsum("ij,ij->i", rel, geometry._up[gs_idx])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.clip(up_component / rng, -1.0, 1.0)
+    # Conservative sine-space prescreen: ``degrees(arcsin(r))`` is
+    # monotone in r with relative rounding error far below 1e-9, so any
+    # pair whose elevation could clear its mask has
+    # ``r >= sin(mask) - 1e-9``.  The exact arcsin then runs on the
+    # survivors only; pruned pairs are reported at -90 deg, which every
+    # mask rejects.
+    maybe = np.nonzero(
+        ratio >= geometry._sin_min_elevation[gs_idx] - 1e-9
+    )[0]
+    elevation = np.full(ratio.shape, -90.0)
+    visible = np.zeros(ratio.shape, dtype=bool)
+    if maybe.size:
+        gs_maybe = gs_idx[maybe]
+        elev_maybe = np.degrees(np.arcsin(ratio[maybe]))
+        elevation[maybe] = elev_maybe
+        visible[maybe] = elev_maybe > geometry._min_elevation[gs_maybe]
+    return elevation, rng, visible
+
+
+def pair_source(
+    satellites: list[Satellite],
+    when: datetime,
+    geometry: GeometryEngine,
+    ephemeris: "EphemerisTable | None" = None,
+    window_index=None,
+    recorder=None,
+) -> tuple[Pairs, int | None]:
+    """The visible pairs at ``when`` and the index step that served them.
+
+    On the step grid of ``window_index`` (a
+    :class:`~repro.scheduling.windows.ContactWindowIndex`) the pairs are
+    zero-copy slices of its CSR arrays.  Off that grid -- plan-horizon
+    look-ahead past the last step, a fleet whose batch propagation
+    failed, callers without an index -- one :meth:`GeometryEngine.
+    scan_visible` step runs on the ``ephemeris`` row (or per-satellite
+    propagation when the row is missing), the same scan and arithmetic
+    that built the index, so both branches return identical rows for
+    the same instant.  The step is ``None`` off the grid.
+    """
+    record = recorder is not None and recorder.enabled
+    if window_index is not None:
+        k = window_index.step_of(when)
+        if k is not None:
+            pairs = window_index.pairs_at(k)
+            if record:
+                recorder.counter("window_index_hits")
+                recorder.counter("visible_pairs", int(pairs[0].size))
+            return pairs, k
+    sat_ecef = None
+    if ephemeris is not None:
+        sat_ecef = ephemeris.positions_ecef(when)
+    if record:
+        recorder.counter(
+            "ephemeris_row_hits" if sat_ecef is not None
+            else "ephemeris_row_misses"
+        )
+    if sat_ecef is None:
+        sat_ecef = geometry.satellite_ecef(satellites, when)
+    pairs = geometry.scan_visible(sat_ecef, recorder)
+    if record:
+        recorder.counter("visible_pairs", int(pairs[0].size))
+    return pairs, None
 
 
 def build_contact_graph(
@@ -281,9 +376,7 @@ def build_contact_graph(
     station_available: Callable[[int, datetime], bool] | None = None,
     station_weight: Callable[[int, datetime], float] | None = None,
     ephemeris: "EphemerisTable | None" = None,
-    batched: bool = True,
     pair_groups: PairGroupCache | None = None,
-    culling=None,
     queue_profile=None,
     recorder=None,
     window_index=None,
@@ -304,42 +397,16 @@ def build_contact_graph(
     the fault layer: every edge weight to the station is multiplied by
     the returned factor (a partial outage down-weights the station, an
     availability prior keeps a gamble edge to a dark one), and a factor
-    <= 0 prunes the station entirely.  The factor is applied identically
-    -- same float operation, same edge order -- in the scalar and batched
-    paths, preserving the equivalence contract.
+    <= 0 prunes the station entirely.
 
-    ``ephemeris`` supplies precomputed fleet positions for on-grid
-    instants (off-grid instants fall back to per-satellite propagation).
-    ``batched=False`` selects the scalar per-pair reference path; the
-    default batched path prices all visible pairs through
-    :meth:`LinkBudget.evaluate_batch` and produces the same edges in the
-    same order (see the equivalence tests).
-
-    ``culling`` (a :class:`repro.scheduling.culling.StationGrid`) selects
-    the sparse candidate-pair path: the coarse-grid prefilter emits a
-    conservative superset of the visible pairs and geometry + pricing run
-    on candidates only, never materializing the M x N matrices.  The
-    per-pair arithmetic is identical to the dense path, so edges (and
-    therefore schedules) are bit-identical with culling on or off -- the
-    contract ``tests/scheduling/test_culling_equivalence.py`` pins.
-    Culling applies to the batched path only; the scalar reference path
-    always prices the dense matrix.
-
-    ``recorder`` (a :class:`repro.obs.Recorder`) receives visible-pair,
-    candidate-pair, and ephemeris-row counters; it never influences the
-    constructed graph.
-
-    ``window_index`` (a :class:`repro.scheduling.windows.ContactWindowIndex`)
-    short-circuits candidate generation entirely for on-grid instants:
-    the visible pairs and their exact elevation/range come from the
-    precomputed pass structure, so the step pays only for active
-    contacts.  Off-grid instants fall through to the culled/dense paths.
+    ``ephemeris`` and ``window_index`` feed the :func:`pair_source`.
     ``window_state`` is a mutable per-scheduler dict caching per-pair
-    gathers between rise/set boundary ticks, and ``weather_memo`` (a
-    ``_StationWeatherMemo``) reuses per-station samples within one
-    provider quantization bucket.  All three are value-neutral: the
-    same edges, in the same order, as the culled path -- the contract
-    ``tests/scheduling/test_windows_equivalence.py`` pins.
+    gathers between the index's rise/set boundary ticks, and
+    ``weather_memo`` (a ``_StationWeatherMemo``) reuses per-station
+    samples within one provider quantization bucket; both are
+    value-neutral.  ``recorder`` (a :class:`repro.obs.Recorder`)
+    receives visible-pair, candidate-pair and ephemeris-row counters; it
+    never influences the constructed graph.
     """
     if geometry is None:
         geometry = GeometryEngine(network)
@@ -356,192 +423,23 @@ def build_contact_graph(
         unavailable |= {
             j for j, f in enumerate(weight_factor) if f <= 0.0
         }
-    record = recorder is not None and recorder.enabled
-    if batched and window_index is not None:
-        k = window_index.step_of(when)
-        if k is not None:
-            w_sat, w_gs, w_elev, w_rng = window_index.pairs_at(k)
-            if record:
-                recorder.counter("window_index_hits")
-                recorder.counter("visible_pairs", int(w_sat.size))
-            edges = _window_edges(
-                satellites, network, when, value_function, link_budget_for,
-                forecast, step_s, geometry, w_sat, w_gs, w_elev, w_rng,
-                unavailable, require_current_plan, plan_max_age_s,
-                weight_factor, pair_groups, queue_profile, window_index, k,
-                window_state, weather_memo, recorder,
-            )
-            return _graph_from(edges, when, len(satellites), len(network))
-    sat_ecef = None
-    if ephemeris is not None:
-        sat_ecef = ephemeris.positions_ecef(when)
-    if record:
-        recorder.counter(
-            "ephemeris_row_hits" if sat_ecef is not None
-            else "ephemeris_row_misses"
-        )
-    if batched and culling is not None:
-        if sat_ecef is None:
-            sat_ecef = geometry.satellite_ecef(satellites, when)
-        cand_sat, cand_gs = culling.candidate_pairs(sat_ecef)
-        pair_elevation, pair_range, pair_visible = _pair_visibility(
-            geometry, sat_ecef, cand_sat, cand_gs
-        )
-        if record:
-            recorder.counter("visible_pairs", int(pair_visible.sum()))
-            recorder.counter("candidate_pairs", int(cand_sat.size))
-            recorder.counter(
-                "culled_pairs",
-                len(satellites) * len(network) - int(cand_sat.size),
-            )
-        edges = _culled_edges(
-            satellites, network, when, value_function, link_budget_for,
-            forecast, step_s, geometry, cand_sat, cand_gs, pair_elevation,
-            pair_range, pair_visible, unavailable, require_current_plan,
-            plan_max_age_s, weight_factor, pair_groups, queue_profile,
-        )
-        return _graph_from(edges, when, len(satellites), len(network))
-    elevation, rng_km, visible = geometry.visibility(
-        satellites, when, sat_ecef=sat_ecef
+    pairs, step = pair_source(
+        satellites, when, geometry, ephemeris, window_index, recorder
     )
-    if record:
-        recorder.counter("visible_pairs", int(visible.sum()))
-    if batched:
-        edges = _batched_edges(
-            satellites, network, when, value_function, link_budget_for,
-            forecast, step_s, geometry, elevation, rng_km, visible,
-            unavailable, require_current_plan, plan_max_age_s, weight_factor,
-            pair_groups, queue_profile,
-        )
-    else:
-        edges = _scalar_edges(
-            satellites, network, when, value_function, link_budget_for,
-            forecast, step_s, geometry, elevation, rng_km, visible,
-            unavailable, require_current_plan, plan_max_age_s, weight_factor,
-        )
-    return _graph_from(edges, when, len(satellites), len(network))
-
-
-def _graph_from(edges, when: datetime, num_satellites: int,
-                num_stations: int) -> ContactGraph:
-    """Wrap a build path's output -- edge list or column arrays -- in a graph."""
+    edges = _mask_and_price(
+        satellites, network, when, value_function, link_budget_for,
+        forecast, step_s, geometry, pairs, unavailable,
+        require_current_plan, plan_max_age_s, weight_factor, pair_groups,
+        queue_profile, window_index, step, window_state, weather_memo,
+        recorder,
+    )
     if isinstance(edges, EdgeColumns):
         return ContactGraph(when=when, columns=edges,
-                            num_satellites=num_satellites,
-                            num_stations=num_stations)
+                            num_satellites=len(satellites),
+                            num_stations=len(network))
     return ContactGraph(when=when, edges=edges,
-                        num_satellites=num_satellites,
-                        num_stations=num_stations)
-
-
-def _pair_visibility(
-    geometry: GeometryEngine,
-    sat_ecef: np.ndarray,
-    sat_idx: np.ndarray,
-    gs_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair (elevation_deg, range_km, visible) for candidate pairs.
-
-    Element-for-element the same arithmetic as the dense
-    :meth:`GeometryEngine.visibility` (subtract, norm, 3-term dot,
-    arcsin), just restricted to the candidate pairs -- so every pair that
-    passes the sine-space prescreen has elevation/range bit-identical to
-    its dense-matrix entry, and the prescreen only prunes pairs both
-    paths reject.
-    """
-    rel = sat_ecef[sat_idx] - geometry._station_ecef[gs_idx]
-    rng = np.linalg.norm(rel, axis=1)
-    up_component = np.einsum("ij,ij->i", rel, geometry._up[gs_idx])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.clip(up_component / rng, -1.0, 1.0)
-    # Conservative sine-space prescreen: ``degrees(arcsin(r))`` is
-    # monotone in r with relative rounding error far below 1e-9, so any
-    # pair whose elevation could clear its mask has
-    # ``r >= sin(mask) - 1e-9``.  The exact arcsin (bit-identical to the
-    # dense matrix entry) then runs on the survivors only; pruned pairs
-    # are reported at -90 deg, which every mask rejects.
-    maybe = np.nonzero(
-        ratio >= geometry._sin_min_elevation[gs_idx] - 1e-9
-    )[0]
-    elevation = np.full(ratio.shape, -90.0)
-    visible = np.zeros(ratio.shape, dtype=bool)
-    if maybe.size:
-        gs_maybe = gs_idx[maybe]
-        elev_maybe = np.degrees(np.arcsin(ratio[maybe]))
-        elevation[maybe] = elev_maybe
-        visible[maybe] = elev_maybe > geometry._min_elevation[gs_maybe]
-    return elevation, rng, visible
-
-
-def _scalar_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    elevation: np.ndarray,
-    rng_km: np.ndarray,
-    visible: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None = None,
-) -> list[ContactEdge]:
-    """The per-pair reference path: one scalar budget call per visible pair."""
-    edges: list[ContactEdge] = []
-    weather_cache: dict[int, WeatherSample] = {}
-    for i, sat in enumerate(satellites):
-        visible_stations = np.nonzero(visible[i])[0]
-        if visible_stations.size == 0:
-            continue
-        has_plan = sat.has_current_plan(when, plan_max_age_s)
-        for j in visible_stations:
-            if int(j) in unavailable:
-                continue
-            station = network[int(j)]
-            if not station.allows_satellite(i):
-                continue
-            if require_current_plan and not has_plan and not station.can_transmit:
-                continue
-            sample = weather_cache.get(int(j))
-            if sample is None:
-                sample = forecast(
-                    station.latitude_deg, station.longitude_deg, when
-                )
-                weather_cache[int(j)] = sample
-            budget = link_budget_for(sat, int(j))
-            result = budget.evaluate(
-                range_km=float(rng_km[i, j]),
-                elevation_deg=float(elevation[i, j]),
-                station_latitude_deg=station.latitude_deg,
-                rain_rate_mm_h=sample.rain_rate_mm_h,
-                cloud_water_kg_m2=sample.cloud_water_kg_m2,
-                station_altitude_km=station.altitude_km,
-            )
-            if not result.closes:
-                continue
-            weight = value_function.edge_value(
-                sat, station.station_id, result.bitrate_bps, when, step_s
-            )
-            if weight_factor is not None:
-                weight *= weight_factor[int(j)]
-            if weight <= 0.0:
-                continue
-            edges.append(
-                ContactEdge(
-                    satellite_index=i,
-                    station_index=int(j),
-                    weight=weight,
-                    bitrate_bps=result.bitrate_bps,
-                    elevation_deg=float(elevation[i, j]),
-                    range_km=float(rng_km[i, j]),
-                    required_esn0_db=result.modcod.esn0_db,
-                )
-            )
-    return edges
+                        num_satellites=len(satellites),
+                        num_stations=len(network))
 
 
 def _empty_columns() -> EdgeColumns:
@@ -584,7 +482,7 @@ class PairGroupCache:
     """Lazily-filled (satellite, station) -> hardware-class-id matrix.
 
     Budget assignment is time-invariant, so after the first step touching
-    a pair the batched path resolves its hardware class with one fancy
+    a pair the pricing tail resolves its hardware class with one fancy
     index instead of a ``link_budget_for`` call per pair per step.
     """
 
@@ -594,7 +492,7 @@ class PairGroupCache:
         self.budget_of: dict[int, LinkBudget] = {}
 
 
-def _batched_edges(
+def _mask_and_price(
     satellites: list[Satellite],
     network: GroundStationNetwork,
     when: datetime,
@@ -603,125 +501,7 @@ def _batched_edges(
     forecast: ForecastFn,
     step_s: float,
     geometry: GeometryEngine,
-    elevation: np.ndarray,
-    rng_km: np.ndarray,
-    visible: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None = None,
-    pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Masked-array edge construction: one budget kernel call per hardware
-    class instead of a scalar call per pair.
-
-    Produces the same edges, in the same (satellite, station) row-major
-    order, as :func:`_scalar_edges` -- matchers tie-break on edge order,
-    so order preservation is part of the equivalence contract.
-    """
-    num_sats, num_stations = visible.shape
-    mask = visible.copy()
-    if unavailable:
-        mask[:, sorted(unavailable)] = False
-    # Constraint bitmaps: only stations that are not allow-all need the
-    # per-satellite expansion (rare: volunteer stations allow everyone).
-    for j, station in enumerate(network):
-        if station.constraints.bitmap != -1 and mask[:, j].any():
-            allowed = np.fromiter(
-                (station.allows_satellite(i) for i in range(num_sats)),
-                bool, num_sats,
-            )
-            mask[:, j] &= allowed
-    if require_current_plan:
-        has_plan = np.fromiter(
-            (s.has_current_plan(when, plan_max_age_s) for s in satellites),
-            bool, num_sats,
-        )
-        mask &= has_plan[:, None] | geometry._can_transmit[None, :]
-    sat_idx, gs_idx = np.nonzero(mask)
-    return _price_pairs(
-        satellites, network, when, value_function, link_budget_for,
-        forecast, step_s, geometry, sat_idx, gs_idx,
-        elevation[sat_idx, gs_idx], rng_km[sat_idx, gs_idx],
-        weight_factor, pair_groups, queue_profile,
-    )
-
-
-def _culled_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    cand_sat: np.ndarray,
-    cand_gs: np.ndarray,
-    pair_elevation: np.ndarray,
-    pair_range: np.ndarray,
-    pair_visible: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None = None,
-    pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Sparse counterpart of :func:`_batched_edges`: the same feasibility
-    masks, applied to candidate-pair arrays instead of the M x N matrix.
-
-    The candidate arrays arrive lexsorted by (satellite, station) -- the
-    order ``np.nonzero`` yields on the dense mask -- and masking only ever
-    removes entries, so the surviving pairs reach :func:`_price_pairs` in
-    exactly the dense path's order.
-    """
-    num_sats = len(satellites)
-    keep = pair_visible.copy()
-    if unavailable:
-        down = np.zeros(len(network), dtype=bool)
-        down[sorted(unavailable)] = True
-        keep &= ~down[cand_gs]
-    for j, station in enumerate(network):
-        if station.constraints.bitmap == -1:
-            continue
-        at_station = keep & (cand_gs == j)
-        if not at_station.any():
-            continue
-        allowed = np.fromiter(
-            (station.allows_satellite(i) for i in range(num_sats)),
-            bool, num_sats,
-        )
-        keep &= allowed[cand_sat] | ~at_station
-    if require_current_plan:
-        has_plan = np.fromiter(
-            (s.has_current_plan(when, plan_max_age_s) for s in satellites),
-            bool, num_sats,
-        )
-        keep &= has_plan[cand_sat] | geometry._can_transmit[cand_gs]
-    final = np.nonzero(keep)[0]
-    return _price_pairs(
-        satellites, network, when, value_function, link_budget_for,
-        forecast, step_s, geometry, cand_sat[final], cand_gs[final],
-        pair_elevation[final], pair_range[final], weight_factor, pair_groups,
-        queue_profile,
-    )
-
-
-def _window_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    pair_sat: np.ndarray,
-    pair_gs: np.ndarray,
-    pair_elevation: np.ndarray,
-    pair_range: np.ndarray,
+    pairs: Pairs,
     unavailable: set[int],
     require_current_plan: bool,
     plan_max_age_s: float,
@@ -729,25 +509,28 @@ def _window_edges(
     pair_groups: PairGroupCache | None,
     queue_profile,
     window_index,
-    step_k: int,
+    step: int | None,
     window_state: dict | None,
     weather_memo,
     recorder,
 ) -> "EdgeColumns | list[ContactEdge]":
-    """Index-driven counterpart of :func:`_culled_edges`.
+    """The tail: feasibility masks on the visible pairs, then pricing.
 
-    The stored pairs *are* the visible set (same arithmetic, same
-    row-major order), so only the feasibility masks remain -- and in the
-    common unmasked case the CSR slices flow to :func:`_price_pairs`
-    without a single copy.  Between rise/set boundary ticks the pair
-    topology is constant, so the per-pair gathers the pricing kernel
-    needs (station latitude/altitude, hardware-class ids) are cached in
-    ``window_state`` and reused; the ``edges_rebuilt`` counter ticks
-    only when a pass boundary invalidates them.
+    The visible pairs arrive row-major by (satellite, station) and the
+    masks only remove entries, so the survivors reach
+    :func:`_price_pairs` in that order (matchers tie-break on it).  In
+    the common unmasked case the pair arrays flow through without a copy.
+    When an index step served the pairs, its precomputed kernel statics
+    are gathered alongside, and between rise/set boundary ticks -- where
+    the pair topology is constant -- the per-pair gathers the pricing
+    kernel needs (station latitude/altitude, hardware-class ids) are
+    cached in ``window_state`` and reused; the ``edges_rebuilt`` counter
+    ticks only when a pass boundary invalidates them.
     """
+    pair_sat, pair_gs, pair_elevation, pair_range = pairs
     num_sats = len(satellites)
     n = int(pair_sat.size)
-    keep: np.ndarray | None = None  # None == every stored pair survives
+    keep: np.ndarray | None = None  # None == every visible pair survives
     if unavailable:
         down = np.zeros(len(network), dtype=bool)
         down[sorted(unavailable)] = True
@@ -775,10 +558,16 @@ def _window_edges(
         keep = None
 
     pair_static = None
-    kernel_static = window_index.kernel_statics_at(step_k)
+    kernel_static = None
+    if step is not None:
+        kernel_static = window_index.kernel_statics_at(step)
     if keep is None:
-        if window_state is not None and pair_groups is not None:
-            seg = window_index.segment_id(step_k)
+        if (
+            step is not None
+            and window_state is not None
+            and pair_groups is not None
+        ):
+            seg = window_index.segment_id(step)
             if window_state.get("segment") == seg:
                 pair_static = window_state.get("static")
             if pair_static is None and n:
@@ -837,10 +626,9 @@ def _price_pairs(
 ) -> "EdgeColumns | list[ContactEdge]":
     """Price feasible pairs through the batched budget kernel.
 
-    The shared tail of the dense, culled, and window-index batched paths:
-    all feed it the same final pair set in the same order, so all produce
-    identical edges.  ``sat_idx``/``gs_idx`` are the feasible pairs (all
-    masks applied) with their already-gathered elevation/range.
+    The pricing half of :func:`_mask_and_price`: ``sat_idx``/``gs_idx``
+    are the feasible pairs (all masks applied, row-major) with their
+    already-gathered elevation/range.
 
     ``weather_memo`` substitutes a per-station sample memo for the
     involved-station oracle loop; it issues the identical first call per
@@ -848,7 +636,7 @@ def _price_pairs(
     provider's cache contents) are bit-identical to the loop's.
     ``pair_static`` is an optional pre-gathered
     ``(station_lat_deg, station_alt_km, gids)`` triple for this exact
-    pair set -- the window path reuses it across boundary-free ticks.
+    pair set, reused across an index segment's boundary-free ticks.
     ``kernel_static`` maps hardware-class gid to precomputed
     :class:`~repro.linkbudget.budget.KernelStatics` columns aligned with
     this exact pair set; the budget kernel then skips its fspl, gas, and
@@ -858,7 +646,7 @@ def _price_pairs(
         return _empty_columns()
     num_sats, num_stations = len(satellites), len(network)
 
-    # Weather once per involved station, as in the scalar path's cache.
+    # Weather once per involved station.
     # Involved stations via a bincount-style flag pass: gs_idx is bounded
     # by the (small) station count, so this avoids sorting the pair list.
     # An identically-clear provider skips the oracle loop: every sample

@@ -415,9 +415,7 @@ def diversity_groups(
     secondaries.
 
     Purely a function of the graph's edges and the matching, so the
-    selection is deterministic and identical whether the graph was built
-    by the scalar or the batched path (those are bit-identical by the
-    PR-1 equivalence contract).
+    selection is deterministic and depends on nothing else.
     """
     if max_receivers < 1:
         raise ValueError("max_receivers must be >= 1")

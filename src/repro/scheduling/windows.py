@@ -7,17 +7,16 @@ per-step loop re-derives visibility from scratch every tick -- culling
 cosine math, elevation prescreen -- even on ticks where nothing rises or
 sets.  :class:`ContactWindowIndex` computes the pass structure **once**
 per run: a single chronological scan over the shared
-:class:`~repro.orbits.ephemeris.EphemerisTable` evaluates the same
-candidate-generation + exact elevation-mask test the per-step path runs
-(:meth:`StationGrid.candidate_pairs` + :func:`_pair_visibility`, or the
-dense :meth:`GeometryEngine.visibility` when culling is off), and stores
-the visible pairs of every step as CSR arrays:
+:class:`~repro.orbits.ephemeris.EphemerisTable` runs
+:meth:`GeometryEngine.scan_visible` -- the candidate prefilter plus the
+exact elevation-mask test, the same scan an off-grid instant runs for
+one step -- and stores the visible pairs of every step as CSR arrays:
 
 * ``step_ptr[k]:step_ptr[k+1]`` slices the flat per-pair arrays
   (``pair_sat``/``pair_gs``/``pair_elevation``/``pair_range``) for step
-  ``k``, in the row-major (satellite, station) order every graph path
-  emits.  A tick answers "which pairs are in a pass right now" with two
-  pointer reads -- O(active pairs), zero geometry.
+  ``k``, in the row-major (satellite, station) order the graph's
+  pricing tail keeps.  A tick answers "which pairs are in a pass right
+  now" with two pointer reads -- O(active pairs), zero geometry.
 * Runs of consecutive steps per (sat, station) pair become **half-open**
   interval records ``[rise_step, set_step)`` -- the
   :class:`~repro.orbits.passes.ContactWindow` boundary contract, so a
@@ -27,10 +26,10 @@ the visible pairs of every step as CSR arrays:
   (station latitude/altitude, hardware-class ids) are reused and only
   weights/values/ACM are re-evaluated.
 
-Because the stored elevations/ranges are produced by bit-identical
-arithmetic on the same ephemeris rows, driving the scheduling loop from
-the index yields byte-identical reports to the culled and dense paths --
-the contract ``tests/scheduling/test_windows_equivalence.py`` pins.
+Because the stored elevations/ranges come from the same scan on the
+same ephemeris rows, an instant answers identically from the index and
+from a one-step scan; ``tests/scheduling/test_differential.py`` checks
+both against the dense scalar oracle in ``tests/oracle.py``.
 
 The scan iterates steps chronologically, which is exactly the access
 pattern :class:`~repro.orbits.ephemeris.StreamingEphemerisTable` is
@@ -54,25 +53,17 @@ from repro.groundstations.network import GroundStationNetwork
 from repro.linkbudget.budget import KernelStatics
 from repro.orbits.passes import ContactWindow
 from repro.satellites.satellite import Satellite
-from repro.scheduling.graph import (
-    GeometryEngine,
-    _budget_group_id,
-    _pair_visibility,
-)
+from repro.scheduling.graph import GeometryEngine, _budget_group_id
 
 #: Above this many stored (pair, step) rows the per-class kernel statics
 #: (six float64 columns each) stop being precomputed -- mega-scale
 #: builds keep the index itself but fall back to per-step fspl/gas.
 _KERNEL_STATICS_MAX_ROWS = 50_000_000
 
-#: Scan-chunk bounds: stacked (step, satellite) rows per culled chunk,
-#: and stacked (step, satellite) x station cells per dense chunk (the
-#: dense path materializes the full matrix, so it is bounded by the
-#: product rather than the row count).  A chunk's candidate and
-#: visibility temporaries are the scan's only transient memory, so the
-#: row bound is what caps it (~100 MB at 2500 x 1000 stations).
+#: Scan-chunk bound: stacked (step, satellite) rows per chunk.  A
+#: chunk's candidate and visibility temporaries are the scan's only
+#: transient memory, so this caps it (~100 MB at 2500 x 1000 stations).
 _SCAN_CHUNK_ROWS = 20_000
-_SCAN_CHUNK_CELLS = 4_000_000
 
 __all__ = [
     "ContactWindowIndex",
@@ -148,19 +139,17 @@ class ContactWindowIndex:
         step_s: float,
         geometry: GeometryEngine | None = None,
         ephemeris=None,
-        culling=None,
         link_budget_for=None,
         pair_groups=None,
         recorder=None,
     ) -> "ContactWindowIndex":
         """One-shot chronological scan producing the full index.
 
-        Runs the *same* candidate generation and exact elevation test as
-        the per-step graph paths, step by step in time order (streaming
-        ephemeris windows are touched once each).  ``link_budget_for`` +
-        ``pair_groups`` optionally pre-resolve the hardware-class id of
-        every pair that is ever visible, moving the per-pair budget
-        lookups out of the hot loop entirely.
+        Runs :meth:`GeometryEngine.scan_visible` over the steps in time
+        order (streaming ephemeris windows are touched once each).
+        ``link_budget_for`` + ``pair_groups`` optionally pre-resolve the
+        hardware-class id of every pair that is ever visible, moving the
+        per-pair budget lookups out of the hot loop entirely.
         """
         if geometry is None:
             geometry = GeometryEngine(network)
@@ -179,14 +168,7 @@ class ContactWindowIndex:
         # arithmetic is unchanged -- candidate refinement is exact per
         # row and the visibility test is elementwise -- so the rows are
         # bit-identical to a step-at-a-time scan whatever the chunk size.
-        # The dense path materializes an (S*M, N) matrix, so its chunk
-        # shrinks to keep that allocation bounded; culled scans cap only
-        # on rows.
-        if culling is not None:
-            chunk = _SCAN_CHUNK_ROWS // max(1, num_sats)
-        else:
-            chunk = _SCAN_CHUNK_CELLS // max(1, num_sats * num_stations)
-        chunk = max(1, min(32, chunk))
+        chunk = max(1, min(32, _SCAN_CHUNK_ROWS // max(1, num_sats)))
         for c0 in range(0, num_steps, chunk):
             c1 = min(c0 + chunk, num_steps)
             blocks = []
@@ -200,8 +182,7 @@ class ContactWindowIndex:
                     block = geometry.satellite_ecef(satellites, when)
                 blocks.append(block)
             step_counts, sat, gs, elev, rng = _scan_chunk(
-                np.concatenate(blocks, axis=0), c1 - c0, num_sats,
-                satellites, start, geometry, culling,
+                np.concatenate(blocks, axis=0), c1 - c0, num_sats, geometry,
             )
             counts[c0 + 1:c1 + 1] = step_counts
             chunk_sat.append(sat)
@@ -400,10 +381,7 @@ def _scan_chunk(
     stacked: np.ndarray,
     span: int,
     num_sats: int,
-    satellites: list[Satellite],
-    start: datetime,
     geometry: GeometryEngine,
-    culling,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Visible rows of one stacked chunk of ``span`` steps.
 
@@ -413,20 +391,7 @@ def _scan_chunk(
     The candidate and visibility temporaries die with this frame, so a
     scan never holds more than one chunk of them.
     """
-    if culling is not None:
-        cand_sat, cand_gs = culling.candidate_pairs(stacked)
-        elev, rng, vis = _pair_visibility(
-            geometry, stacked, cand_sat, cand_gs
-        )
-        sel = np.flatnonzero(vis)
-        glob, gi, elev, rng = cand_sat[sel], cand_gs[sel], elev[sel], rng[sel]
-    else:
-        elevation, rng_km, visible = geometry.visibility(
-            satellites, start, sat_ecef=stacked
-        )
-        glob, gi = np.nonzero(visible)
-        elev = elevation[glob, gi]
-        rng = rng_km[glob, gi]
+    glob, gi, elev, rng = geometry.scan_visible(stacked)
     krow = glob // num_sats
     return (
         np.bincount(krow, minlength=span),
@@ -573,7 +538,6 @@ def shared_window_index(
     step_s: float,
     geometry: GeometryEngine | None = None,
     ephemeris=None,
-    culling=None,
     link_budget_for=None,
     pair_groups=None,
     recorder=None,
@@ -593,7 +557,6 @@ def shared_window_index(
             start,
             int(num_steps),
             float(step_s),
-            culling is not None,
             _geometry_fingerprint(geometry),
         )
         entry = _INDEX_CACHE.get(key)
@@ -618,7 +581,6 @@ def shared_window_index(
         step_s=step_s,
         geometry=geometry,
         ephemeris=ephemeris,
-        culling=culling,
         link_budget_for=link_budget_for,
         pair_groups=pair_groups,
         recorder=recorder,

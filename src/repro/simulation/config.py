@@ -66,19 +66,6 @@ class SimulationConfig:
     #: Seed for the deterministic per-(satellite, station, time) decode
     #: draws in :class:`repro.network.diversity.DiversityCombiner`.
     diversity_seed: int = 19
-    #: Batch-propagate the fleet over the whole horizon up front (one
-    #: vectorized SGP4 pass, shared across variants via the ephemeris
-    #: cache) instead of per-satellite propagation at every step.
-    precompute_ephemeris: bool = True
-    #: Price edges through the batched link-budget kernel.  ``False``
-    #: selects the scalar per-pair reference path; the equivalence tests
-    #: run both and compare schedules.
-    batched_kernels: bool = True
-    #: Coarse-grid candidate prefilter: per-step graph cost tracks
-    #: candidate pairs instead of the full M x N product.  Bit-identical
-    #: results either way (the prefilter is a conservative superset);
-    #: ``False`` pins the dense reference path.  Batched kernels only.
-    spatial_culling: bool = True
     #: Ephemeris storage dtype: ``"float64"`` (exact) or ``"float32"``
     #: (half the memory; sub-meter position rounding at LEO radii, below
     #: the link model's sensitivity but not bit-identical to float64).
@@ -88,14 +75,6 @@ class SimulationConfig:
     #: Bounds peak memory at mega-constellation scale; rows are
     #: bit-identical to the monolithic table.
     ephemeris_window_steps: int = 0
-    #: Precompute the contact-window (pass) structure once and drive the
-    #: per-step loop from it: candidate generation becomes an index
-    #: lookup, zero-contact ticks skip graph/matching entirely, and edge
-    #: gathers are reused between rise/set boundaries.  Bit-identical
-    #: reports either way (``False`` pins the per-step culled/dense
-    #: reference paths).  Requires batched kernels and a precomputed
-    #: ephemeris; silently inert otherwise.
-    contact_windows: bool = True
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:

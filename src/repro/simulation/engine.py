@@ -186,20 +186,14 @@ class Simulation:
             station_available=station_available,
             station_weight=station_weight,
             ephemeris=self.ephemeris,
-            batched=config.batched_kernels,
-            spatial_culling=config.spatial_culling,
             recorder=self.obs,
         )
-        # Precompute the pass structure once: candidate generation per
-        # step becomes an index lookup and idle ticks (no pair in a pass)
-        # skip scheduling entirely -- byte-identical either way.  Needs
-        # the batched path and a precomputed ephemeris; inert otherwise.
+        # Precompute the pass structure once: each on-grid step's visible
+        # pairs become an index lookup and idle ticks (no pair in a pass)
+        # skip scheduling entirely.  Needs the batch ephemeris; a fleet
+        # whose batch propagation failed scans every step instead.
         self.window_index = None
-        if (
-            config.contact_windows
-            and config.batched_kernels
-            and self.ephemeris is not None
-        ):
+        if self.ephemeris is not None:
             index_steps = config.num_steps
             if config.execution_mode == "planned":
                 index_steps += int(config.plan_horizon_s // config.step_s) + 1
@@ -212,7 +206,6 @@ class Simulation:
                     step_s=config.step_s,
                     geometry=self.scheduler._geometry,
                     ephemeris=self.ephemeris,
-                    culling=self.scheduler._culling_grid,
                     link_budget_for=self.scheduler._link_budget_for,
                     pair_groups=self.scheduler._pair_groups,
                     recorder=self.obs,
@@ -261,9 +254,9 @@ class Simulation:
         Planned execution looks ahead a plan horizon past the last step,
         so the table covers that too.  A fleet that decays mid-horizon
         falls back to lazy per-satellite propagation (which raises at the
-        offending step, as the scalar path always did).
+        offending step).
         """
-        if not config.precompute_ephemeris or not satellites:
+        if not satellites:
             return None
         steps = config.num_steps
         if config.execution_mode == "planned":
@@ -395,28 +388,9 @@ class Simulation:
         ):
             self._last_forecast_issue = now
         self._transmitted_this_step = set()
-        # Idle-tick fast-forward: when the contact-window index says zero
-        # pairs are in a pass right now, the contact graph is empty by
-        # construction -- an empty graph samples no weather, touches no
-        # queue profile, and matches nothing -- so skipping link budget,
-        # graph build, and matching outright is byte-identical.  Only the
-        # scheduler that owns the index may skip (horizon/beamforming
-        # replacements keep internal replan counters that must tick), and
-        # planned mode never skips (plan issue ticks are time-driven).
-        skip_idle = False
-        if cfg.execution_mode != "planned":
-            window_index = getattr(self.scheduler, "window_index", None)
-            if window_index is not None:
-                ki = window_index.step_of(now)
-                if ki is not None and window_index.active_count(ki) == 0:
-                    skip_idle = True
-                    if rec.enabled:
-                        rec.counter("idle_ticks_skipped")
         if cfg.execution_mode == "planned":
             with rec.span("plan_execution"):
                 executed = self._planned_step(now)
-        elif skip_idle:
-            executed = {}
         elif cfg.execution_mode == "diversity":
             # Live matching plus extra listeners: the matched primary
             # transmits as usual while otherwise-idle stations that can
@@ -1038,10 +1012,7 @@ class Simulation:
         plan-less satellite merely visible from an idle tx-capable
         station, receives the backend's newest plan (plus acks).
         """
-        tx_indices = [
-            j for j, st in enumerate(self.network) if st.can_transmit
-        ]
-        if not tx_indices:
+        if not any(st.can_transmit for st in self.network):
             return
         # Contacted a tx station per plan: refresh during the same pass
         # (the ack/plan upload itself already ran in _execute_assignment).
@@ -1050,20 +1021,18 @@ class Simulation:
                 self._satellite_plans[sat_index] = self._latest_plan
         # Plan-less satellites: any visible tx station can bootstrap them
         # (uplink is narrowband and does not occupy the downlink dish).
-        planless = [
-            i for i, _s in enumerate(self.satellites)
-            if i not in self._satellite_plans
-        ]
-        if not planless:
+        # Pairs are row-major, so a satellite's first visible tx station
+        # is its lowest-index one.
+        if len(self._satellite_plans) == len(self.satellites):
             return
-        elevation, _rng, visible = self.scheduler.visibility(now)
-        for sat_index in planless:
-            for j in tx_indices:
-                if visible[sat_index, j]:
-                    self._satellite_plans[sat_index] = self._latest_plan
-                    self._tx_contact(self.satellites[sat_index], now,
-                                     self.network[j].station_id)
-                    break
+        pair_sat, pair_gs, _elev, _rng = self.scheduler.visible_pairs(now)
+        for sat_index, j in zip(pair_sat.tolist(), pair_gs.tolist()):
+            if sat_index in self._satellite_plans \
+                    or not self.network[j].can_transmit:
+                continue
+            self._satellite_plans[sat_index] = self._latest_plan
+            self._tx_contact(self.satellites[sat_index], now,
+                             self.network[j].station_id)
 
     def _record_churn(self, current_links: dict[int, int]) -> None:
         """Count satellite->station link changes relative to the last step."""

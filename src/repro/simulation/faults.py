@@ -16,20 +16,39 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 from repro.faults.schedule import require_finite_positive
 
 
+def _sim_clock(when: datetime) -> datetime:
+    """``when`` on the simulation clock, which is naive UTC.
+
+    Offset-aware times convert to UTC and drop the offset; naive times
+    are already UTC.
+    """
+    if when.utcoffset() is None:
+        return when
+    return when.astimezone(timezone.utc).replace(tzinfo=None)
+
+
 @dataclass(frozen=True)
 class Outage:
-    """One downtime interval for one station."""
+    """One downtime interval for one station, on the simulation clock.
+
+    Every outage -- generated, scheduled, or announced through
+    :meth:`Simulation.announce_outage`, a session ``OutageNotice`` or the
+    daemon's ``POST /outages`` -- is built here, so offset-aware bounds
+    are converted to naive UTC in this one place.
+    """
 
     station_id: str
     start: datetime
     end: datetime
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "start", _sim_clock(self.start))
+        object.__setattr__(self, "end", _sim_clock(self.end))
         if self.end <= self.start:
             raise ValueError("outage must end after it starts")
 

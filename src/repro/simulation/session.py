@@ -23,12 +23,12 @@ runs the exact code path of the batch loop, so ``finalize()`` returns a
 :class:`SimulationReport` byte-identical to ``Simulation.run()`` on the
 same :class:`ScenarioSpec` (pinned by ``tests/simulation/test_session.py``).
 
-Sessions inherit the engine's contact-window fast paths untouched: with
-``ScenarioSpec.contact_windows`` on, each tick reads its active pairs
-from the precomputed :class:`~repro.scheduling.windows.ContactWindowIndex`
-and zero-contact ticks fast-forward past scheduling entirely -- an
-:class:`OutageNotice` still applies, because station availability is
-masked at query time, not baked into the index.
+Sessions inherit the engine's contact-window fast paths untouched: each
+tick reads its active pairs from the precomputed
+:class:`~repro.scheduling.windows.ContactWindowIndex` and zero-contact
+ticks fast-forward past scheduling entirely -- an :class:`OutageNotice`
+still applies, because station availability is masked at query time,
+not baked into the index.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from datetime import datetime, timedelta
 
 from repro.demand.tenant import check_quota_gb_per_day
 from repro.obs import build_manifest
+from repro.simulation.faults import Outage
 from repro.simulation.metrics import GB_TO_BITS, SimulationReport
 
 # -- control-plane events ----------------------------------------------------
@@ -75,7 +76,11 @@ class QuotaUpdate:
 
 @dataclass(frozen=True)
 class OutageNotice:
-    """An announced station maintenance window [start, end)."""
+    """An announced station maintenance window [start, end).
+
+    Offset-aware bounds are converted to the simulation clock (naive UTC)
+    when the notice is validated and applied; naive bounds are UTC.
+    """
 
     station_id: str
     start: datetime
@@ -246,8 +251,9 @@ class SimulationSession:
         elif isinstance(event, OutageNotice):
             if event.station_id not in self._station_ids:
                 raise ValueError(f"unknown station {event.station_id!r}")
-            if event.end <= event.start:
-                raise ValueError("outage must end after it starts")
+            # The outage the notice becomes: its bounds on the simulation
+            # clock (naive UTC), which must end after they start.
+            Outage(event.station_id, event.start, event.end)
             sim = self.simulation
             if sim.outages is not None and not sim.outages_announced:
                 raise ValueError(

@@ -52,6 +52,24 @@ class TestGeometryQueries:
             )
             assert topo.elevation_deg > api.network[gs_idx].min_elevation_deg
 
+    def test_visible_pairs_lists_pairs_in_sight_not_priced_edges(self):
+        """Satellites with nothing to send price no edge, but are in sight."""
+        from repro.core.scenarios import build_paper_fleet
+        from repro.groundstations.network import satnogs_like_network
+        from tests.oracle import dense_visibility
+
+        fleet = build_paper_fleet(40)
+        network = satnogs_like_network(60, seed=11)
+        api = DGSNetwork(satellites=fleet, network=network)
+        geometry = api._scheduler._geometry
+        _elev, _rng, visible = dense_visibility(
+            geometry, geometry.satellite_ecef(fleet, EPOCH)
+        )
+        expected = [(int(i), int(j)) for i, j in zip(*visible.nonzero())]
+        assert api.schedule(EPOCH).num_edges == 0
+        assert expected
+        assert api.visible_pairs(EPOCH) == expected
+
     def test_next_contact(self, api):
         found = api.next_contact(api.satellites[0], EPOCH, search_hours=24.0)
         assert found is not None

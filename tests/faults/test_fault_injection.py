@@ -15,13 +15,13 @@ from repro.satellites.satellite import Satellite
 from repro.scheduling.value_functions import LatencyValue
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
+from tests.oracle import use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 DURATION_S = 4 * 3600.0
 
 
-def _simulate(faults=None, announced=True, prior=None, ack_timeout_s=None,
-              batched=True):
+def _simulate(faults=None, announced=True, prior=None, ack_timeout_s=None):
     """A fresh small world per call (engine mutates storage in place)."""
     tles = synthetic_leo_constellation(8, EPOCH, seed=21)
     sats = [Satellite(tle=t, chunk_size_gb=0.5) for t in tles]
@@ -30,7 +30,6 @@ def _simulate(faults=None, announced=True, prior=None, ack_timeout_s=None,
         start=EPOCH,
         duration_s=DURATION_S,
         ack_timeout_s=ack_timeout_s if ack_timeout_s is not None else 3 * 3600.0,
-        batched_kernels=batched,
     )
     sim = Simulation(satellites=sats, network=network, value_function=LatencyValue(), config=config, faults=faults,
                      faults_announced=announced,
@@ -74,8 +73,8 @@ class TestOptInEquivalence:
         }
 
     def test_scalar_and_batched_paths_agree_under_faults(self):
-        """The availability weight is applied identically in the scalar
-        and batched contact-graph kernels."""
+        """The availability weight is applied identically by production's
+        batched pricing and the scalar oracle (``tests/oracle.py``)."""
         network, _ = _simulate()
         faults = FaultSchedule(outages=[
             StationOutage(network[j].station_id, EPOCH,
@@ -83,12 +82,43 @@ class TestOptInEquivalence:
                           severity=0.5 if j % 2 else 1.0)
             for j in range(6)
         ])
-        _n, sim_batched = _simulate(faults=faults, batched=True)
-        _n, sim_scalar = _simulate(faults=faults, batched=False)
+        _n, sim_batched = _simulate(faults=faults)
+        _n, sim_scalar = _simulate(faults=faults)
+        use_oracle(sim_scalar.scheduler)
         report_b = sim_batched.run()
         report_s = sim_scalar.run()
         assert _report_fields(report_b) == _report_fields(report_s)
         assert report_b.fault_counters == report_s.fault_counters
+
+
+class TestSchedulerFamiliesHonorAnnouncedFaults:
+    def test_no_assignment_lands_on_an_announced_hard_down_station(self):
+        """Horizon and beamforming replacements see the fault layer too."""
+        from repro.core.scenarios import ScenarioSpec
+
+        for family in (dict(scheduler="horizon", horizon_steps=4),
+                       dict(scheduler="beamforming", beams=2)):
+            sim = ScenarioSpec.dgs(
+                num_satellites=40, num_stations=30, duration_s=4 * 3600.0,
+                fault_intensity=0.3, **family,
+            ).build().simulation
+            assigned = []
+            execute = sim._execute_assignment
+
+            def record(assignment, now, execute=execute, sim=sim):
+                assigned.append(
+                    (sim.network[assignment.station_index].station_id, now)
+                )
+                execute(assignment, now)
+
+            sim._execute_assignment = record
+            sim.run()
+            assert assigned, family
+            down = [
+                (station_id, now) for station_id, now in assigned
+                if sim.faults.station_availability(station_id, now) <= 0.0
+            ]
+            assert down == [], family
 
 
 class TestSeededRunsReproduce:

@@ -131,16 +131,31 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="warp_drive"):
             ScenarioSpec.from_dict(raw)
 
-    def test_contact_windows_knob_round_trips_and_hashes(self):
-        """The window-index knob is spec identity: serialized + hashed."""
-        on = tiny_spec()
-        off = tiny_spec(contact_windows=False)
-        assert on.to_dict()["contact_windows"] is True
-        assert off.to_dict()["contact_windows"] is False
-        clone = ScenarioSpec.from_dict(off.to_dict())
-        assert clone == off
-        assert clone.config_sha256() == off.config_sha256()
-        assert on.config_sha256() != off.config_sha256()
+    def test_retired_path_knobs_rejected_hash_and_seeds_kept(self):
+        """``spatial_culling``/``contact_windows`` are gone from the spec,
+        but the hash and derived seeds still count them at ``True``, so
+        checkpoint keys and seeds match specs that carried them."""
+        spec = ScenarioSpec.dgs()
+        raw = spec.to_dict()
+        for key in ("spatial_culling", "contact_windows"):
+            assert key not in raw
+            with pytest.raises(ValueError, match=key):
+                ScenarioSpec.from_dict({**raw, key: True})
+            with pytest.raises(TypeError):
+                ScenarioSpec.dgs(**{key: True})
+        # Values recorded before the retirement, when both keys were
+        # spec fields defaulting to True.
+        assert spec.config_sha256() == (
+            "7cd85f5d689d9ec2a6437bb0ae2afde8bbfdd3facddbad79586b70c55b23173c"
+        )
+        derived = spec.derive_seeds(0)
+        assert derived.seeds() == {
+            "fleet": 851242861, "weather": 1274414154, "network": 463497898,
+        }
+        assert (derived.fault_seed, derived.demand_seed, derived.storm_seed,
+                derived.diversity_seed) == (
+            256580227, 954093406, 555133700, 2094889396,
+        )
 
     def test_derive_seeds_is_deterministic(self):
         spec = tiny_spec()

@@ -1,9 +1,10 @@
-"""Batched pipeline vs the scalar reference: same edges, same schedules.
+"""The batched production path vs the scalar oracle: same edges, schedules.
 
-Matchers tie-break on edge order, so the batched path must reproduce the
-scalar path's edges exactly and in the same row-major (satellite, station)
+Matchers tie-break on edge order, so production must reproduce the
+oracle's edges exactly and in the same row-major (satellite, station)
 order -- these tests pin that contract at graph, scheduler, and full
-simulation level.
+simulation level, with and without the shared ephemeris and its
+contact-window index (``tests/oracle.py`` is the reference).
 """
 
 from datetime import datetime, timedelta
@@ -19,19 +20,24 @@ from repro.orbits.ephemeris import (
 from repro.satellites.satellite import Satellite
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
+from repro.scheduling.windows import clear_window_index_cache, shared_window_index
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
+from tests.oracle import assert_graphs_identical, report_dict, use_oracle
 
 EPOCH = datetime(2020, 6, 1)
+NUM_STEPS = 180
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_ephemeris_cache()
+    clear_window_index_cache()
     yield
     clear_ephemeris_cache()
+    clear_window_index_cache()
 
 
 def _fleet(n=10, seed=21):
@@ -42,147 +48,136 @@ def _fleet(n=10, seed=21):
     return sats
 
 
-def _scheduler(batched, use_ephemeris, num_steps=180, **kwargs):
+def _scheduler(use_ephemeris, **kwargs):
+    """A fresh world; with ``use_ephemeris`` also its contact-window index."""
     satellites = _fleet()
     network = satnogs_like_network(24, seed=13)
     table = None
     if use_ephemeris:
-        table = shared_ephemeris_table(satellites, EPOCH, num_steps, 60.0)
-    return DownlinkScheduler(
+        table = shared_ephemeris_table(satellites, EPOCH, NUM_STEPS, 60.0)
+    scheduler = DownlinkScheduler(
         satellites,
         network,
         LatencyValue(),
         weather=QuantizedWeatherCache(RainCellField(seed=3)),
         ephemeris=table,
-        batched=batched,
         **kwargs,
     )
+    if use_ephemeris:
+        scheduler.window_index = shared_window_index(
+            satellites, network, start=EPOCH, num_steps=NUM_STEPS,
+            step_s=60.0, geometry=scheduler._geometry, ephemeris=table,
+            link_budget_for=scheduler._link_budget_for,
+            pair_groups=scheduler._pair_groups,
+        )
+    return scheduler
 
 
-def _assert_graphs_equal(graph_a, graph_b, geometry_tol=0.0):
-    """Edge-for-edge equality.
-
-    ``geometry_tol`` admits float noise on the *continuous* geometry
-    fields when one side propagates through the batch-SGP4 ephemeris
-    (positions agree to ~1e-12 km, i.e. 1 ulp); the discrete outcomes
-    (edge set, order, MODCOD, bitrate, weight) must still match exactly.
-    """
-    assert len(graph_a.edges) == len(graph_b.edges)
-    for ea, eb in zip(graph_a.edges, graph_b.edges):
-        assert ea.satellite_index == eb.satellite_index
-        assert ea.station_index == eb.station_index
-        assert ea.weight == eb.weight
-        assert ea.bitrate_bps == eb.bitrate_bps
-        assert ea.required_esn0_db == eb.required_esn0_db
-        if geometry_tol:
-            assert ea.elevation_deg == pytest.approx(
-                eb.elevation_deg, abs=geometry_tol
-            )
-            assert ea.range_km == pytest.approx(eb.range_km, abs=geometry_tol)
-        else:
-            assert ea.elevation_deg == eb.elevation_deg
-            assert ea.range_km == eb.range_km
+def _oracle(use_ephemeris=False, **kwargs):
+    """The same world on the oracle (reading the ephemeris rows if any)."""
+    return use_oracle(_scheduler(use_ephemeris, **kwargs))
 
 
 class TestGraphEquivalence:
     def test_identical_edges_across_a_horizon(self):
-        scalar = _scheduler(batched=False, use_ephemeris=False)
-        batched = _scheduler(batched=True, use_ephemeris=False)
+        """Per-satellite propagation: every instant runs the scan step."""
+        oracle = _oracle()
+        production = _scheduler(use_ephemeris=False)
         total = 0
-        for k in range(0, 180, 5):
+        for k in range(0, NUM_STEPS, 5):
             when = EPOCH + timedelta(minutes=k)
-            graph_s = scalar.contact_graph(when)
-            graph_b = batched.contact_graph(when)
-            _assert_graphs_equal(graph_s, graph_b)
-            total += len(graph_s.edges)
+            graph = production.contact_graph(when)
+            assert_graphs_identical(graph, oracle.contact_graph(when))
+            total += graph.num_edges
         assert total > 0  # the comparison actually exercised edges
 
     def test_identical_edges_with_ephemeris_table(self):
-        """Batched + precomputed ephemeris against fully scalar."""
-        scalar = _scheduler(batched=False, use_ephemeris=False)
-        batched = _scheduler(batched=True, use_ephemeris=True)
-        for k in range(0, 180, 7):
+        """Ephemeris + window index against the fully scalar oracle.
+
+        The oracle reads its own scheduler's positions, i.e. per-satellite
+        propagation, which agrees with the batch ephemeris to ~1e-12 km:
+        the discrete outcomes must match exactly, geometry to 1e-6.
+        """
+        oracle = _oracle()
+        production = _scheduler(use_ephemeris=True)
+        for k in range(0, NUM_STEPS, 7):
             when = EPOCH + timedelta(minutes=k)
-            _assert_graphs_equal(
-                scalar.contact_graph(when), batched.contact_graph(when),
-                geometry_tol=1e-6,
-            )
+            graph_p = production.contact_graph(when)
+            graph_o = oracle.contact_graph(when)
+            assert graph_p.num_edges == graph_o.num_edges
+            for ep, eo in zip(graph_p.edges, graph_o.edges):
+                assert ep[:4] == eo[:4]
+                assert ep.required_esn0_db == eo.required_esn0_db
+                assert ep.elevation_deg == pytest.approx(
+                    eo.elevation_deg, abs=1e-6
+                )
+                assert ep.range_km == pytest.approx(eo.range_km, abs=1e-6)
 
     def test_identical_edges_under_plan_distribution(self):
         """The has-plan x can-transmit mask must vectorize faithfully."""
         kwargs = dict(require_current_plan=True, plan_max_age_s=3600.0)
-        scalar = _scheduler(batched=False, use_ephemeris=False, **kwargs)
-        batched = _scheduler(batched=True, use_ephemeris=False, **kwargs)
+        oracle = _oracle(**kwargs)
+        production = _scheduler(use_ephemeris=False, **kwargs)
         # A couple of satellites hold fresh plans; the rest do not.
-        for s in (scalar, batched):
+        for s in (oracle, production):
             s.satellites[0].receive_plan(EPOCH)
             s.satellites[3].receive_plan(EPOCH)
         for k in range(0, 120, 10):
             when = EPOCH + timedelta(minutes=k)
-            _assert_graphs_equal(
-                scalar.contact_graph(when), batched.contact_graph(when)
+            assert_graphs_identical(
+                production.contact_graph(when), oracle.contact_graph(when)
             )
 
     def test_identical_edges_with_station_outages(self):
         def available(index, when):
             return index % 3 != 0
-        scalar = _scheduler(
-            batched=False, use_ephemeris=False, station_available=available
-        )
-        batched = _scheduler(
-            batched=True, use_ephemeris=False, station_available=available
-        )
+        oracle = _oracle(use_ephemeris=True, station_available=available)
+        production = _scheduler(use_ephemeris=True,
+                                station_available=available)
         for k in range(0, 120, 10):
             when = EPOCH + timedelta(minutes=k)
-            graph_s = scalar.contact_graph(when)
-            graph_b = batched.contact_graph(when)
-            _assert_graphs_equal(graph_s, graph_b)
-            assert all(e.station_index % 3 != 0 for e in graph_b.edges)
+            graph = production.contact_graph(when)
+            assert_graphs_identical(graph, oracle.contact_graph(when))
+            assert all(e.station_index % 3 != 0 for e in graph.edges)
 
 
 class TestScheduleEquivalence:
     def test_identical_assignments(self):
-        scalar = _scheduler(batched=False, use_ephemeris=False)
-        batched = _scheduler(batched=True, use_ephemeris=True)
-        for k in range(0, 180, 5):
+        oracle = _oracle(use_ephemeris=True)
+        production = _scheduler(use_ephemeris=True)
+        for k in range(0, NUM_STEPS, 5):
             when = EPOCH + timedelta(minutes=k)
-            step_s = scalar.schedule_step(when)
-            step_b = batched.schedule_step(when)
-            assert step_s.num_edges == step_b.num_edges
-            pairs_s = [
+            step_o = oracle.schedule_step(when)
+            step_p = production.schedule_step(when)
+            assert step_o.num_edges == step_p.num_edges
+            pairs_o = [
                 (a.satellite_index, a.station_index)
-                for a in step_s.assignments
+                for a in step_o.assignments
             ]
-            pairs_b = [
+            pairs_p = [
                 (a.satellite_index, a.station_index)
-                for a in step_b.assignments
+                for a in step_p.assignments
             ]
-            assert pairs_s == pairs_b
+            assert pairs_o == pairs_p
 
 
 class TestSimulationEquivalence:
     def test_identical_reports(self):
         """A full (short) run schedules and delivers identically."""
         reports = {}
-        for batched in (False, True):
+        for oracle in (True, False):
             tles = synthetic_leo_constellation(8, EPOCH, seed=21)
             sats = [Satellite(tle=t, chunk_size_gb=0.5) for t in tles]
             network = satnogs_like_network(20, seed=13)
             config = SimulationConfig(
-                start=EPOCH,
-                duration_s=3 * 3600.0,
-                step_s=60.0,
-                batched_kernels=batched,
-                precompute_ephemeris=batched,
+                start=EPOCH, duration_s=3 * 3600.0, step_s=60.0,
             )
             weather = QuantizedWeatherCache(RainCellField(seed=3))
-            sim = Simulation(satellites=sats, network=network, value_function=LatencyValue(), config=config,
+            sim = Simulation(satellites=sats, network=network,
+                             value_function=LatencyValue(), config=config,
                              truth_weather=weather)
-            reports[batched] = sim.run()
-        scalar, batched = reports[False], reports[True]
-        assert scalar.matched_step_counts == batched.matched_step_counts
-        assert scalar.delivered_bits == batched.delivered_bits
-        assert scalar.generated_bits == batched.generated_bits
-        assert scalar.latency_s == batched.latency_s
-        assert scalar.station_bits == batched.station_bits
-        assert scalar.final_backlog_gb == batched.final_backlog_gb
+            if oracle:
+                use_oracle(sim.scheduler)
+            reports[oracle] = report_dict(sim.run())
+        assert reports[True] == reports[False]
+        assert reports[False]["delivered_bits"] > 0

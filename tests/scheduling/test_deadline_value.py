@@ -23,6 +23,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
+from tests.oracle import use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -152,20 +153,21 @@ def _stamped_fleet(n=10, seed=21):
     return sats
 
 
-def _scheduler(batched):
+def _scheduler():
     return DownlinkScheduler(
         _stamped_fleet(),
         satnogs_like_network(24, seed=13),
         DeadlineSlaValue(tenants=MIX),
         weather=QuantizedWeatherCache(RainCellField(seed=3)),
-        batched=batched,
     )
 
 
 class TestBatchedEquivalence:
+    """Vectorized deadline pricing vs the scalar oracle's per-edge calls."""
+
     def test_identical_weights_across_a_horizon(self):
-        scalar = _scheduler(batched=False)
-        batched = _scheduler(batched=True)
+        scalar = use_oracle(_scheduler())
+        batched = _scheduler()
         total = 0
         for k in range(0, 180, 5):
             when = EPOCH + timedelta(minutes=k)
@@ -188,7 +190,6 @@ class TestBatchedEquivalence:
             network = satnogs_like_network(20, seed=13)
             config = SimulationConfig(
                 start=EPOCH, duration_s=3 * 3600.0, step_s=60.0,
-                batched_kernels=batched, precompute_ephemeris=batched,
             )
             demand = DemandLayer.build(
                 tenants=MIX, requests_per_day=24, seed=13, start=EPOCH
@@ -202,5 +203,7 @@ class TestBatchedEquivalence:
                 truth_weather=QuantizedWeatherCache(RainCellField(seed=3)),
                 demand=demand,
             )
+            if not batched:
+                use_oracle(sim.scheduler)
             reports[batched] = sim.run()
         assert reports[False].to_json() == reports[True].to_json()

@@ -11,6 +11,7 @@ from repro.scheduling.graph import GeometryEngine, build_contact_graph
 from repro.scheduling.value_functions import LatencyValue, ThroughputValue
 from repro.weather.cells import WeatherSample
 from repro.weather.provider import ClearSkyProvider
+from tests.oracle import dense_visibility
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -40,12 +41,23 @@ def budget_factory(network):
     return link_budget_for
 
 
+def _scan_over_a_day(engine, fleet):
+    """(instant, scan rows, dense oracle matrices) every 20 minutes."""
+    for minute in range(0, 1440, 20):
+        when = EPOCH + timedelta(minutes=minute)
+        sat_ecef = engine.satellite_ecef(fleet, when)
+        yield when, engine.scan_visible(sat_ecef), \
+            dense_visibility(engine, sat_ecef)
+
+
 class TestGeometryEngine:
     def test_matches_scalar_look_angles(self, loaded_fleet, small_network):
-        """The vectorized path must agree with the reference scalar path."""
+        """Scan rows and the dense oracle agree with scalar look angles."""
         engine = GeometryEngine(small_network)
-        elevation, rng_km, visible = engine.visibility(loaded_fleet, EPOCH)
         api = DGSNetwork(satellites=loaded_fleet, network=small_network)
+        elevation, rng_km, _visible = dense_visibility(
+            engine, engine.satellite_ecef(loaded_fleet, EPOCH)
+        )
         for i, sat in enumerate(loaded_fleet):
             for j, station in enumerate(small_network):
                 topo = api.look_angles(sat, station, EPOCH)
@@ -53,13 +65,35 @@ class TestGeometryEngine:
                     topo.elevation_deg, abs=1e-6
                 )
                 assert rng_km[i, j] == pytest.approx(topo.range_km, abs=1e-6)
+        rows = 0
+        for when, (sat, gs, elev, rng), _dense in _scan_over_a_day(
+            engine, loaded_fleet
+        ):
+            for i, j, e, r in zip(sat.tolist(), gs.tolist(), elev, rng):
+                topo = api.look_angles(loaded_fleet[i], small_network[j],
+                                       when)
+                assert e == pytest.approx(topo.elevation_deg, abs=1e-6)
+                assert r == pytest.approx(topo.range_km, abs=1e-6)
+                rows += 1
+        assert rows > 0
 
     def test_visibility_consistent_with_mask(self, loaded_fleet, small_network):
+        """The scan returns exactly the pairs above their station's mask."""
         engine = GeometryEngine(small_network)
-        elevation, _rng, visible = engine.visibility(loaded_fleet, EPOCH)
-        for j, station in enumerate(small_network):
-            expected = elevation[:, j] > station.min_elevation_deg
-            assert np.array_equal(visible[:, j], expected)
+        rows = 0
+        for _when, (sat, gs, elev, rng), dense in _scan_over_a_day(
+            engine, loaded_fleet
+        ):
+            elevation, rng_km, visible = dense
+            for j, station in enumerate(small_network):
+                expected = elevation[:, j] > station.min_elevation_deg
+                assert np.array_equal(visible[:, j], expected)
+            vs, vg = np.nonzero(visible)
+            assert np.array_equal(sat, vs) and np.array_equal(gs, vg)
+            assert np.array_equal(elev, elevation[vs, vg])
+            assert np.array_equal(rng, rng_km[vs, vg])
+            rows += sat.size
+        assert rows > 0
 
 
 class TestBuildContactGraph:

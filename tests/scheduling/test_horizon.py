@@ -92,3 +92,32 @@ class TestAssignmentValidity:
         )
         if myopic_value > 0:
             assert horizon_value >= 0.5 * myopic_value
+
+
+class TestWindowIndexWiring:
+    def test_idle_ticks_still_reach_the_horizon_scheduler(self):
+        """The replacement reads the engine's index, yet every tick --
+        idle ones included -- calls its ``schedule_step``, so its re-plan
+        cadence is the one a scheduler without the index would keep."""
+        from repro.core.scenarios import ScenarioSpec
+
+        sim = ScenarioSpec.dgs(
+            num_satellites=6, num_stations=4, duration_s=14400.0,
+            scheduler="horizon", horizon_steps=4,
+        ).build().simulation
+        scheduler = sim.scheduler
+        assert isinstance(scheduler, HorizonScheduler)
+        index = scheduler.window_index
+        assert index is not None and index is sim.window_index
+        steps = sim.config.num_steps
+        assert any(index.active_count(k) == 0 for k in range(steps))
+        calls = []
+        schedule_step = scheduler.schedule_step
+
+        def counted(when, forecast_issued_at=None):
+            calls.append(when)
+            return schedule_step(when, forecast_issued_at)
+
+        scheduler.schedule_step = counted
+        sim.run()
+        assert len(calls) == steps

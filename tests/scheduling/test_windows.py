@@ -1,9 +1,9 @@
 """Unit tests for the contact-window index: CSR shape, boundaries, cache.
 
-Equivalence against the per-step scheduling paths lives in
+Equivalence against the dense scalar oracle lives in
 ``test_windows_equivalence.py``; this file pins the index's own
 contracts -- that the stored per-step pair sets are exactly what direct
-geometry computes, that pass intervals are half-open ``[rise, set)``,
+dense geometry computes, that pass intervals are half-open ``[rise, set)``,
 that the scalar :class:`PassPredictor` brackets the step-sampled
 windows, that scan-chunk and statics-block sizes bound memory without
 changing a bit of the result, and that the session cache returns the
@@ -28,7 +28,6 @@ from repro.orbits.ephemeris import (
 )
 from repro.orbits.passes import PassPredictor
 from repro.satellites.satellite import Satellite
-from repro.scheduling.culling import StationGrid
 from repro.scheduling.graph import GeometryEngine, PairGroupCache
 from repro.scheduling.windows import (
     ContactWindowIndex,
@@ -36,6 +35,7 @@ from repro.scheduling.windows import (
     clear_window_index_cache,
     shared_window_index,
 )
+from tests.oracle import dense_visibility
 
 EPOCH = datetime(2020, 6, 1)
 STEP_S = 60.0
@@ -75,7 +75,9 @@ class TestCsrAgainstDirectGeometry:
         total_pairs = 0
         for k in range(NUM_STEPS):
             when = EPOCH + timedelta(seconds=k * STEP_S)
-            elevation, rng_km, visible = geometry.visibility(satellites, when)
+            elevation, rng_km, visible = dense_visibility(
+                geometry, geometry.satellite_ecef(satellites, when)
+            )
             vs, vg = np.nonzero(visible)
             sat, gs, elev, rng = index.pairs_at(k)
             assert np.array_equal(sat, vs.astype(np.int32))
@@ -159,7 +161,7 @@ class TestBuildInvariance:
     memory; no size may change a bit of the index or its statics."""
 
     @staticmethod
-    def _two_class_build(culled=True):
+    def _two_class_build():
         satellites = _fleet()
         network = satnogs_like_network(30, seed=13)
         # Half the stations get the 4 m baseline dish: two hardware
@@ -179,12 +181,10 @@ class TestBuildInvariance:
         pair_groups = PairGroupCache(len(satellites), len(network))
         index = _build(
             satellites, network, geometry=geometry,
-            culling=StationGrid(network) if culled else None,
             link_budget_for=link_budget_for, pair_groups=pair_groups,
         )
         return index, geometry, pair_groups
 
-    @pytest.mark.parametrize("culled", [True, False])
     @pytest.mark.parametrize("chunk_steps, block_rows", [
         (1, None),     # one step per scan chunk
         (7, None),     # 7 does not divide the 180 steps
@@ -192,26 +192,22 @@ class TestBuildInvariance:
         (1, 997),
     ])
     def test_chunk_and_block_sizes_are_bit_identical(
-        self, monkeypatch, culled, chunk_steps, block_rows
+        self, monkeypatch, chunk_steps, block_rows
     ):
-        default, _, _ = self._two_class_build(culled)
+        default, _, _ = self._two_class_build()
         rows = int(default.step_ptr[-1])
         assert rows > 2 * 997
         assert len(default._kernel_statics) == 2
         if chunk_steps is not None:
-            # 25 satellites x 30 stations: these constants give exactly
-            # ``chunk_steps`` steps per chunk on either scan path.
+            # 25 satellites: exactly ``chunk_steps`` steps per chunk.
             monkeypatch.setattr(
                 windows_module, "_SCAN_CHUNK_ROWS", chunk_steps * 25
-            )
-            monkeypatch.setattr(
-                windows_module, "_SCAN_CHUNK_CELLS", chunk_steps * 25 * 30
             )
         if block_rows is not None:
             monkeypatch.setattr(
                 budget_module, "_STATICS_BLOCK_ROWS", block_rows
             )
-        rebuilt, _, _ = self._two_class_build(culled)
+        rebuilt, _, _ = self._two_class_build()
         for name in _INDEX_ARRAYS:
             assert _same_bits(getattr(default, name),
                               getattr(rebuilt, name)), name

@@ -1,19 +1,18 @@
-"""Window-index path vs the per-step reference paths: identical outputs.
+"""Window-index production path vs the dense scalar oracle.
 
-The contact-window index stores the exact elevations/ranges the per-step
-culled and dense paths compute, so driving the scheduling loop from it
-must produce bit-identical edges, schedules, and reports.  These tests
-pin that contract at graph level (including constraints, availability
-holes, and plan gating), at full-simulation level (faults, storms,
-diversity reception, forecast-driven scheduling, tenants), for the
-horizon/beamforming scheduler replacements (which skip the index build
-by design), and at mega-constellation scale with spatial culling --
-mirroring ``test_culling_equivalence.py`` one layer up.
+The contact-window index stores the exact elevations/ranges the one-step
+scan computes, so driving the scheduling loop from it must produce the
+oracle's edges, schedules, and reports bit for bit.  These tests pin
+that contract at graph level (on and off the index's grid, including
+constraints, availability holes, and plan gating), at full-simulation
+level (faults, storms, diversity reception, forecast-driven scheduling,
+tenants, and the horizon/beamforming schedulers, which read the same
+index), and for the pair source at mega-constellation scale.
 """
 
-from dataclasses import replace
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from repro.core.scenarios import ScenarioSpec
@@ -29,6 +28,12 @@ from repro.scheduling.windows import (
 )
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
+from tests.oracle import (
+    assert_graphs_identical,
+    oracle_visible_pairs,
+    report_dict,
+    use_oracle,
+)
 
 EPOCH = datetime(2020, 6, 1)
 STEP_S = 60.0
@@ -64,71 +69,58 @@ def _scheduler(satellites, network, **kwargs):
     )
 
 
-def _attach_index(scheduler, satellites, network, table, num_steps,
-                  culled=True):
+def _attach_index(scheduler, satellites, network, table, num_steps):
     scheduler.window_index = shared_window_index(
         satellites, network, start=EPOCH, num_steps=num_steps,
         step_s=STEP_S, geometry=scheduler._geometry, ephemeris=table,
-        culling=scheduler._culling_grid if culled else None,
         link_budget_for=scheduler._link_budget_for,
         pair_groups=scheduler._pair_groups,
     )
 
 
-def _assert_graphs_identical(graph_a, graph_b):
-    """Bitwise edge-for-edge equality (order included)."""
-    assert len(graph_a.edges) == len(graph_b.edges)
-    for ea, eb in zip(graph_a.edges, graph_b.edges):
-        assert ea == eb
-
-
-def _report_dict(spec):
-    raw = spec.build().simulation.run().to_dict()
-    raw.pop("stage_timings", None)
-    return raw
-
-
-def _assert_on_off_identical(spec):
-    on = _report_dict(replace(spec, contact_windows=True))
-    off = _report_dict(replace(spec, contact_windows=False))
-    assert on == off
+def _assert_matches_oracle(spec):
+    production = report_dict(spec.build().simulation.run())
+    sim = spec.build().simulation
+    use_oracle(sim.scheduler)
+    assert production == report_dict(sim.run())
 
 
 class TestGraphEquivalence:
     def test_identical_edges_against_culled_and_dense(self):
+        """Index-served graphs == one-step scan graphs == the oracle."""
         satellites = _fleet(40)
         network = satnogs_like_network(40, seed=13)
         num_steps = 180
         table = shared_ephemeris_table(satellites, EPOCH, num_steps, STEP_S)
-        windowed = _scheduler(satellites, network, spatial_culling=True,
-                              ephemeris=table)
+        windowed = _scheduler(satellites, network, ephemeris=table)
         _attach_index(windowed, satellites, network, table, num_steps)
-        culled = _scheduler(satellites, network, spatial_culling=True,
-                            ephemeris=table)
-        dense = _scheduler(satellites, network, spatial_culling=False,
-                           ephemeris=table)
+        scanned = _scheduler(satellites, network, ephemeris=table)
+        dense = use_oracle(_scheduler(satellites, network, ephemeris=table))
         total = 0
         for k in range(0, num_steps, 5):
             when = EPOCH + timedelta(minutes=k)
             graph_w = windowed.contact_graph(when)
-            _assert_graphs_identical(graph_w, culled.contact_graph(when))
-            _assert_graphs_identical(graph_w, dense.contact_graph(when))
-            total += len(graph_w.edges)
+            assert_graphs_identical(graph_w, scanned.contact_graph(when))
+            assert_graphs_identical(graph_w, dense.contact_graph(when))
+            total += graph_w.num_edges
         assert total > 0
 
     def test_off_grid_instants_fall_back_bitwise(self):
-        """Instants between grid steps must price like the culled path."""
+        """Instants between grid steps price like the oracle."""
         satellites = _fleet(30)
         network = satnogs_like_network(30, seed=13)
         table = shared_ephemeris_table(satellites, EPOCH, 60, STEP_S)
         windowed = _scheduler(satellites, network, ephemeris=table)
         _attach_index(windowed, satellites, network, table, 60)
-        culled = _scheduler(satellites, network, ephemeris=table)
+        dense = use_oracle(_scheduler(satellites, network, ephemeris=table))
+        total = 0
         for k in (10, 30, 50):
             when = EPOCH + timedelta(minutes=k, seconds=30)
-            _assert_graphs_identical(
-                windowed.contact_graph(when), culled.contact_graph(when)
-            )
+            assert windowed.window_index.step_of(when) is None
+            graph = windowed.contact_graph(when)
+            assert_graphs_identical(graph, dense.contact_graph(when))
+            total += graph.num_edges
+        assert total > 0
 
     def test_identical_edges_with_constraints_and_plan_gating(self):
         """Bitmaps, availability holes, and plan gates mask identically."""
@@ -151,33 +143,32 @@ class TestGraphEquivalence:
         )
         windowed = _scheduler(satellites, network_a, **kwargs)
         _attach_index(windowed, satellites, network_a, table, num_steps)
-        reference = _scheduler(satellites, network_b, **kwargs)
-        for s in (windowed, reference):
-            s.satellites[0].receive_plan(EPOCH)
-            s.satellites[2].receive_plan(EPOCH)
+        dense = use_oracle(_scheduler(satellites, network_b, **kwargs))
+        satellites[0].receive_plan(EPOCH)
+        satellites[2].receive_plan(EPOCH)
         for k in range(0, num_steps, 10):
             when = EPOCH + timedelta(minutes=k)
-            _assert_graphs_identical(
-                windowed.contact_graph(when), reference.contact_graph(when)
+            assert_graphs_identical(
+                windowed.contact_graph(when), dense.contact_graph(when)
             )
 
 
 class TestSimulationEquivalence:
     def test_reports_identical_under_faults(self):
-        _assert_on_off_identical(ScenarioSpec.dgs(
+        _assert_matches_oracle(ScenarioSpec.dgs(
             num_satellites=20, num_stations=25, duration_s=7200.0,
             fault_intensity=0.25, fault_seed=11,
         ))
 
     def test_reports_identical_with_storms_and_diversity(self):
-        _assert_on_off_identical(ScenarioSpec.dgs(
+        _assert_matches_oracle(ScenarioSpec.dgs(
             num_satellites=15, num_stations=20, duration_s=7200.0,
             weather="storms", storm_rate=2.0, storm_speed=1.5,
             execution_mode="diversity", diversity_receivers=3,
         ))
 
     def test_reports_identical_with_forecast_scheduling(self):
-        _assert_on_off_identical(ScenarioSpec.dgs(
+        _assert_matches_oracle(ScenarioSpec.dgs(
             num_satellites=15, num_stations=20, duration_s=7200.0,
             use_forecast=True,
         ))
@@ -185,49 +176,46 @@ class TestSimulationEquivalence:
     def test_reports_identical_with_tenants(self):
         from repro.demand import tenant_mix
 
-        _assert_on_off_identical(ScenarioSpec.dgs(
+        _assert_matches_oracle(ScenarioSpec.dgs(
             num_satellites=15, num_stations=20, duration_s=7200.0,
             tenants=tenant_mix("balanced"), value="deadline",
         ))
 
     def test_reports_identical_for_horizon_and_beams_schedulers(self):
-        """The replacements skip the index build; the knob stays inert."""
+        """The replacements read the engine's index and match the oracle."""
         for extra in (
             dict(scheduler="horizon", horizon_steps=3),
             dict(scheduler="beamforming", beams=2),
         ):
             spec = ScenarioSpec.dgs(
                 num_satellites=12, num_stations=15, duration_s=3600.0,
-                **extra,
+                fault_intensity=0.3, **extra,
             )
-            on = replace(spec, contact_windows=True).build()
-            assert on.simulation.window_index is None
-            on_report = on.simulation.run().to_dict()
-            off_report = (
-                replace(spec, contact_windows=False)
-                .build().simulation.run().to_dict()
-            )
-            on_report.pop("stage_timings", None)
-            off_report.pop("stage_timings", None)
-            assert on_report == off_report
+            sim = spec.build().simulation
+            assert sim.window_index is not None
+            assert sim.scheduler.window_index is sim.window_index
+            _assert_matches_oracle(spec)
 
 
 class TestMegaScaleWalker:
     def test_walker_2500x1000_edges_identical_with_culling(self):
-        """Index + culling at mega-constellation scale, edge-for-edge."""
+        """The pair source at mega-constellation scale == dense geometry.
+
+        On-grid instants are served from the index, off-grid ones by a
+        scan step; both must return the dense oracle's rows bit for bit.
+        """
         satellites = _fleet(2500, walker=True)
         network = satnogs_like_network(1000, seed=13)
-        num_steps = 10
+        num_steps = 4
         table = shared_ephemeris_table(satellites, EPOCH, num_steps, STEP_S)
-        windowed = _scheduler(satellites, network, spatial_culling=True,
-                              ephemeris=table)
-        _attach_index(windowed, satellites, network, table, num_steps)
-        culled = _scheduler(satellites, network, spatial_culling=True,
-                            ephemeris=table)
+        scheduler = _scheduler(satellites, network, ephemeris=table)
+        _attach_index(scheduler, satellites, network, table, num_steps)
         total = 0
-        for k in range(0, num_steps, 3):
-            when = EPOCH + timedelta(minutes=k)
-            graph_w = windowed.contact_graph(when)
-            _assert_graphs_identical(graph_w, culled.contact_graph(when))
-            total += len(graph_w.edges)
+        for when in (EPOCH + timedelta(minutes=3),
+                     EPOCH + timedelta(minutes=1, seconds=30)):
+            pairs = scheduler.visible_pairs(when)
+            expected = oracle_visible_pairs(scheduler, when)
+            for got, want in zip(pairs, expected):
+                assert np.array_equal(got, want)
+            total += pairs[0].size
         assert total > 0

@@ -5,10 +5,12 @@ Each test boots a :class:`SchedulerService` on an ephemeral port
 via ``POST /shutdown`` -- the same path a real client uses.
 """
 
+import contextlib
 import http.client
 import json
 import threading
 import time
+from datetime import datetime
 
 import pytest
 
@@ -29,7 +31,13 @@ def make_service(pace_s=0.01, **spec_overrides):
 @pytest.fixture()
 def daemon():
     """A running daemon + a request helper; always shut down cleanly."""
-    service = make_service()
+    with serving(make_service()) as running:
+        yield running
+
+
+@contextlib.contextmanager
+def serving(service):
+    """Run ``service`` in a thread; yield it with a request helper."""
     result = {}
     thread = threading.Thread(
         target=lambda: result.update(report=service.serve_forever()),
@@ -265,3 +273,31 @@ class TestServiceObject:
         assert not thread.is_alive()
         assert result["report"].to_json() == \
             service.session.finalize().to_json()
+
+
+class TestOutageTimeZones:
+    """Outage times convert to the simulation clock, naive UTC."""
+
+    def test_offset_aware_and_mixed_notices_keep_the_session_ticking(self):
+        service = make_service(pace_s=0.02, duration_s=3600.0)
+        with serving(service) as (service, call):
+            station = service.session.simulation.network[0].station_id
+            for start, end in (
+                ("2020-06-01T02:40:00+02:00", "2020-06-01T00:50:00"),
+                ("2020-06-01T03:10:00+02:00", "2020-06-01T03:20:00+02:00"),
+            ):
+                status, body = call("POST", "/outages", {
+                    "station_id": station, "start": start, "end": end,
+                })
+                assert status == 200
+                assert body["acks"][0]["status"] == "queued"
+            deadline = time.monotonic() + 30.0
+            while call("GET", "/healthz")[1]["step"] < \
+                    service.session.horizon_steps:
+                assert time.monotonic() < deadline, "the session stopped"
+                time.sleep(0.05)
+            outages = service.session.simulation.outages.outages
+            assert [(o.start, o.end) for o in outages] == [
+                (datetime(2020, 6, 1, 0, 40), datetime(2020, 6, 1, 0, 50)),
+                (datetime(2020, 6, 1, 1, 10), datetime(2020, 6, 1, 1, 20)),
+            ]

@@ -17,6 +17,7 @@ from repro.scheduling.value_functions import LatencyValue
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
 from repro.simulation.metrics import SimulationReport
+from tests.oracle import use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -126,6 +127,7 @@ class TestInertKnobs:
 
 class TestScalarBatchedEquivalence:
     def test_identical_reports_under_storms_and_diversity(self):
+        """Batched production vs the scalar oracle (``tests/oracle.py``)."""
         reports = {}
         for batched in (False, True):
             tles = synthetic_leo_constellation(8, EPOCH, seed=21)
@@ -134,7 +136,6 @@ class TestScalarBatchedEquivalence:
             config = SimulationConfig(
                 start=EPOCH, duration_s=2 * 3600.0, step_s=60.0,
                 execution_mode="diversity", diversity_receivers=3,
-                batched_kernels=batched, precompute_ephemeris=batched,
             )
             sim = Simulation(
                 satellites=sats, network=network,
@@ -143,6 +144,8 @@ class TestScalarBatchedEquivalence:
                     seed=3, storm_seed=17, storm_rate=3.0
                 ),
             )
+            if not batched:
+                use_oracle(sim.scheduler)
             reports[batched] = sim.run()
         assert reports[False].to_json() == reports[True].to_json()
         assert reports[True].diversity["passes"] > 0

@@ -22,14 +22,13 @@ from repro.weather.provider import QuantizedWeatherCache
 EPOCH = datetime(2020, 6, 1)
 
 
-def build_sim(observability=None, duration_h=2.0, use_forecast=False,
-              contact_windows=True):
+def build_sim(observability=None, duration_h=2.0, use_forecast=False):
     tles = synthetic_leo_constellation(8, EPOCH, seed=21)
     sats = [Satellite(tle=t, chunk_size_gb=0.5) for t in tles]
     network = satnogs_like_network(20, seed=13)
     config = SimulationConfig(
         start=EPOCH, duration_s=duration_h * 3600.0, step_s=60.0,
-        use_forecast=use_forecast, contact_windows=contact_windows,
+        use_forecast=use_forecast,
     )
     weather = QuantizedWeatherCache(RainCellField(seed=3))
     return Simulation(
@@ -138,9 +137,11 @@ class TestComponentStats:
         assert counters.get("window_index_hits", 0) > 0
 
     def test_weather_cache_hits_without_window_index(self):
-        # The reference path re-reads the provider every step, so the
-        # quantized cache's hit counter populates.
-        sim = build_sim(observability=ObsConfig(), contact_windows=False)
+        # Without the index the scheduler has no per-bucket memo and
+        # re-reads the provider every step, so the quantized cache's hit
+        # counter populates.
+        sim = build_sim(observability=ObsConfig())
+        sim.scheduler.window_index = None
         sim.run()
         gauges = sim.obs.gauges_snapshot()
         assert gauges.get("weather_cache/truth_weather/hits", 0) > 0

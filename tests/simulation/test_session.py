@@ -6,7 +6,7 @@ batch ``Simulation.run()`` on the same spec -- with and without tenants,
 regardless of how the horizon is sliced into ``advance()`` calls.
 """
 
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -335,3 +335,40 @@ class TestSnapshotAndLifecycle:
         report = session.finalize()
         assert report.delivered_bits == 0.0
         assert session.finished
+
+
+PLUS2 = timezone(timedelta(hours=2))
+
+
+class TestOutageTimeZones:
+    """The simulation clock is naive UTC; aware notice times convert to it."""
+
+    @pytest.mark.parametrize("start, end", [
+        (datetime(2020, 6, 1, 2, 30, tzinfo=PLUS2), datetime(2020, 6, 1, 1)),
+        (datetime(2020, 6, 1, 2, 30, tzinfo=PLUS2),
+         datetime(2020, 6, 1, 3, tzinfo=PLUS2)),
+        (datetime(2020, 6, 1, 0, 30), datetime(2020, 6, 1, 1)),
+    ], ids=["mixed", "aware", "naive"])
+    def test_notice_blocks_its_station_at_the_utc_tick(self, start, end):
+        session = SimulationSession(plain_spec())
+        sim = session.simulation
+        station = sim.network[0].station_id
+        assert session.ingest([OutageNotice(station, start, end)])[0][
+            "status"] == "queued"
+        session.advance(steps=45)
+        for minute, down in ((29, False), (30, True), (59, True),
+                             (60, False)):
+            when = EPOCH + timedelta(minutes=minute)
+            assert sim.outages.is_down(station, when) is down
+            assert sim.scheduler.station_available(0, when) is not down
+        assert session.run_to_horizon().generated_bits > 0
+
+    def test_notice_ending_before_its_utc_start_is_rejected(self):
+        session = SimulationSession(plain_spec())
+        station = session.simulation.network[0].station_id
+        with pytest.raises(ValueError, match="end after it starts"):
+            session.ingest([OutageNotice(
+                station, datetime(2020, 6, 1, 2, 30, tzinfo=PLUS2),
+                datetime(2020, 6, 1, 0, 20),
+            )])
+        assert session.snapshot()["pending_events"] == 0
