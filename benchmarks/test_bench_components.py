@@ -5,9 +5,8 @@ pytest-benchmark's statistical timing: SGP4 propagation, vectorized
 visibility, contact-graph pricing, and the three matchers.  They guard
 against performance regressions that would make full-scale reproduction
 impractical (a simulated day is ~1440 of each of these per scenario).
-The dense-visibility and scalar rows time the test oracle
-(``tests/oracle.py``), the reference the production path is measured
-against.
+The scalar row times the test oracle (``tests/oracle.py``), the
+reference the production path is measured against.
 """
 
 import time
@@ -31,7 +30,7 @@ from repro.scheduling.matching import (
 )
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
-from tests.oracle import dense_visibility, use_oracle
+from tests.oracle import use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -60,11 +59,11 @@ def test_bench_sgp4_propagation(benchmark, world):
 
 
 def test_bench_visibility_matrix(benchmark, world):
-    """Per-satellite propagation + the oracle's dense M x N visibility."""
+    """Per-satellite propagation + one step of the visibility scan."""
     fleet, network, _scheduler = world
     engine = GeometryEngine(network)
     benchmark(
-        lambda: dense_visibility(engine, engine.satellite_ecef(fleet, EPOCH))
+        lambda: engine.scan_visible(engine.satellite_ecef(fleet, EPOCH))
     )
 
 

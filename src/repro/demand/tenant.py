@@ -32,6 +32,24 @@ def check_quota_gb_per_day(quota_gb_per_day: float) -> None:
         )
 
 
+def check_sla_deadline_s(sla_deadline_s: float) -> None:
+    """Raise ``ValueError`` unless an SLA deadline is finite and > 0.
+
+    A chunk's deadline is its capture time plus this many seconds, so a
+    NaN or infinite one raises at the satellite's next capture instead
+    of where it was set.
+    """
+    if not (math.isfinite(sla_deadline_s) and sla_deadline_s > 0.0):
+        raise ValueError(
+            f"sla_deadline_s must be finite and > 0, got {sla_deadline_s!r}"
+        )
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tenant:
     """One customer of the shared ground-station network.
@@ -76,13 +94,10 @@ class Tenant:
             raise ValueError("tenant_id cannot be empty")
         if self.tier < 1:
             raise ValueError(f"tier must be >= 1, got {self.tier}")
-        if self.weight <= 0.0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        _check_positive("weight", self.weight)
         check_quota_gb_per_day(self.quota_gb_per_day)
-        if self.sla_deadline_s <= 0.0:
-            raise ValueError("sla_deadline_s must be positive")
-        if self.demand_share <= 0.0:
-            raise ValueError("demand_share must be positive")
+        check_sla_deadline_s(self.sla_deadline_s)
+        _check_positive("demand_share", self.demand_share)
         # from_dict round-trips hand lists in; the spec needs hashability.
         object.__setattr__(self, "regions", tuple(self.regions))
 

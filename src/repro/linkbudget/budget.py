@@ -48,9 +48,10 @@ from repro.linkbudget.itu import (
 from repro.orbits.constants import BOLTZMANN_DBW
 
 #: Rows per block in :meth:`LinkBudget.precompute_statics`: each block's
-#: float64 temporaries (about a dozen arrays of this length, ~2 MB each)
-#: are the only memory the precompute holds beyond its output columns.
-_STATICS_BLOCK_ROWS = 262_144
+#: float64 temporaries (about a dozen arrays of this length, 512 KiB
+#: each) are the only memory the precompute holds beyond its output
+#: columns.
+_STATICS_BLOCK_ROWS = 65_536
 
 
 @dataclass(frozen=True)

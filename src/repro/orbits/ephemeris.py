@@ -29,6 +29,7 @@ to per-satellite scalar propagation for their column of the table.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 from datetime import datetime, timedelta
 from typing import Sequence
@@ -66,6 +67,25 @@ _GRID_TOLERANCE_S = 1e-6
 def _fallback_tolerance_km(dtype: np.dtype) -> float:
     return (_FALLBACK_TOLERANCE_F32_KM if np.dtype(dtype) == np.float32
             else _FALLBACK_TOLERANCE_KM)
+
+
+def _fallback_satellites(row0: np.ndarray, propagators: Sequence[SGP4],
+                         start: datetime) -> list[int]:
+    """Satellites whose batched ``row0`` disagrees with scalar SGP4.
+
+    ``row0`` is the fleet's stored ``(M, 3)`` ECEF row at ``start``.  One
+    scalar propagation per satellite, then one rotation and one distance
+    comparison for the whole fleet.
+    """
+    scalar_teme = np.array([prop.propagate(start)[0] for prop in propagators])
+    scalar_ecef = _rotate_teme_to_ecef(
+        scalar_teme.reshape(1, -1, 3),
+        np.array([gmst_rad(datetime_to_jd(start))]),
+    )[0]
+    distance_km = np.linalg.norm(row0 - scalar_ecef, axis=1)
+    return np.flatnonzero(
+        distance_km > _fallback_tolerance_km(row0.dtype)
+    ).tolist()
 
 
 class BatchSGP4:
@@ -343,21 +363,13 @@ class EphemerisTable:
     def _apply_scalar_fallback(self, propagators: list[SGP4]) -> None:
         """Recompute columns where the batch path disagrees with scalar.
 
-        One scalar propagation per satellite at the grid start flags
-        exotic element sets; flagged satellites get their whole column
-        from the reference scalar propagator.
+        :func:`_fallback_satellites` flags exotic element sets from the
+        grid start; flagged satellites get their whole column from the
+        reference scalar propagator.
         """
-        first = self.start
-        tolerance_km = _fallback_tolerance_km(self.positions.dtype)
-        for i, prop in enumerate(propagators):
-            scalar_pos, _ = prop.propagate(first)
-            jd = datetime_to_jd(first)
-            scalar_ecef = _rotate_teme_to_ecef(
-                scalar_pos[None, None, :], np.array([gmst_rad(jd)])
-            )[0, 0]
-            if np.linalg.norm(self.positions[0, i] - scalar_ecef) \
-                    <= tolerance_km:
-                continue
+        for i in _fallback_satellites(self.positions[0], propagators,
+                                      self.start):
+            prop = propagators[i]
             for k in range(self.num_steps):
                 when = self.start + timedelta(seconds=k * self.step_s)
                 pos, _ = prop.propagate(when)
@@ -467,17 +479,10 @@ class StreamingEphemerisTable:
         # build, so fallback columns match too.
         self._fallback_sats: list[int] = []
         if self.num_satellites:
-            row0 = self._compute_rows(0, 1, fallback=False)[0]
-            tolerance_km = _fallback_tolerance_km(self.dtype)
-            jd = datetime_to_jd(start)
-            theta0 = np.array([gmst_rad(jd)])
-            for i, prop in enumerate(self._propagators):
-                scalar_pos, _ = prop.propagate(start)
-                scalar_ecef = _rotate_teme_to_ecef(
-                    scalar_pos[None, None, :], theta0
-                )[0, 0]
-                if np.linalg.norm(row0[i] - scalar_ecef) > tolerance_km:
-                    self._fallback_sats.append(i)
+            self._fallback_sats = _fallback_satellites(
+                self._compute_rows(0, 1, fallback=False)[0],
+                self._propagators, start,
+            )
 
     def _compute_rows(self, lo: int, hi: int,
                       fallback: bool = True) -> np.ndarray:
@@ -572,11 +577,25 @@ def _propagator_of(sat) -> SGP4:
     return SGP4(sat.tle)
 
 
+#: The TLE fields :meth:`~repro.orbits.tle.TLE.to_lines` prints.
+_ELEMENT_FIELDS = (
+    "satnum", "classification", "intl_designator", "epoch_year",
+    "epoch_day", "ndot", "nddot", "bstar", "ephemeris_type",
+    "element_set_no", "inclination_deg", "raan_deg", "eccentricity",
+    "argp_deg", "mean_anomaly_deg", "mean_motion_rev_day", "rev_number",
+)
+_elements_of = operator.attrgetter(*_ELEMENT_FIELDS)
+
+
 def _fleet_key(satellites: Sequence) -> tuple:
-    """Identity of a fleet's orbits: the TLE lines, order-sensitive."""
-    return tuple(
-        tuple(_propagator_of(sat).tle.to_lines()) for sat in satellites
-    )
+    """Identity of a fleet's orbits, order-sensitive.
+
+    Each TLE's printed fields at their exact values: SGP4 reads the
+    elements unrounded, so two sets that print the same lines can still
+    propagate metres apart, and an element set outside the print range
+    (|ndot| >= 1) still has a key.
+    """
+    return tuple(_elements_of(_propagator_of(sat).tle) for sat in satellites)
 
 
 def _table_key(satellites: Sequence, start: datetime, step_s: float,
@@ -602,11 +621,12 @@ def shared_ephemeris_table(
 ) -> EphemerisTable:
     """Fetch (or build) the fleet's position grid from the shared cache.
 
-    Tables are keyed by (TLE set, start, step, dtype); a cached table with
-    at least ``num_steps`` rows serves any shorter request, so fig3a/3b/3c
-    and every ablation over the same horizon share one propagation.  With
-    ``cache_dir`` (or ``$REPRO_EPHEMERIS_CACHE``) set, tables also persist
-    to disk and survive across processes.  When the parent process
+    Tables are keyed by (exact TLE elements, start, step, dtype); a
+    cached table with at least ``num_steps`` rows serves any shorter
+    request, so fig3a/3b/3c and every ablation over the same horizon
+    share one propagation.  With ``cache_dir`` (or
+    ``$REPRO_EPHEMERIS_CACHE``) set, tables also persist to disk and
+    survive across processes.  When the parent process
     published a shared-memory table for this key
     (:func:`export_shared_table` / :func:`attach_shared_tables`), a cache
     miss maps that table instead of rebuilding -- zero-copy, one

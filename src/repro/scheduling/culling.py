@@ -141,6 +141,11 @@ class StationGrid:
         self.cell_centers = np.array(centers)  # (C, 3) unit vectors
         self.cell_radius_rad = np.array(radii)
         self.num_cells = unique_cells.size
+        # Cosine and sine of each cell's angular pad (circumradius plus
+        # margin) for the per-step angle-sum thresholds.
+        pad = self.cell_radius_rad + self.margin_rad
+        self._cos_pad = np.cos(pad)
+        self._sin_pad = np.sin(pad)
 
     # -- per-step candidate generation ----------------------------------
 
@@ -171,23 +176,26 @@ class StationGrid:
         # coarse hits only.  The 1e-12 slack keeps the coarse pass a
         # strict superset under libm rounding differences, so the refined
         # set equals the full per-(sat, cell) test exactly.
-        pad = self.cell_radius_rad + self.margin_rad  # (C,)
         psi_hi = float(psi_max.max())
         cos_coarse = (
-            math.cos(psi_hi) * np.cos(pad)
-            - math.sin(psi_hi) * np.sin(pad)
+            math.cos(psi_hi) * self._cos_pad
+            - math.sin(psi_hi) * self._sin_pad
             - 1e-12
         )
         cos_angle = sat_unit @ self.cell_centers.T  # (M, C)
-        hit_sat, hit_cell = np.nonzero(cos_angle >= cos_coarse[None, :])
-        if hit_sat.size:
-            exact = (
-                np.cos(psi_max[hit_sat]) * np.cos(pad[hit_cell])
-                - np.sin(psi_max[hit_sat]) * np.sin(pad[hit_cell])
-            )
-            refined = cos_angle[hit_sat, hit_cell] >= exact
-            hit_sat = hit_sat[refined]
-            hit_cell = hit_cell[refined]
+        # Flat (row, cell) hit codes, row-major like ``np.nonzero`` of
+        # the matrix; the per-row trigonometry runs once per row, not
+        # once per hit.
+        hit = np.flatnonzero(cos_angle >= cos_coarse)
+        hit_sat, hit_cell = np.divmod(hit, self.num_cells)
+        if hit.size:
+            exact = _take(np.cos(psi_max), hit_sat) \
+                * _take(self._cos_pad, hit_cell)
+            exact -= _take(np.sin(psi_max), hit_sat) \
+                * _take(self._sin_pad, hit_cell)
+            refined = np.flatnonzero(_take(cos_angle.ravel(), hit) >= exact)
+            hit_sat = _take(hit_sat, refined)
+            hit_cell = _take(hit_cell, refined)
         if hit_sat.size == 0:
             empty = np.empty(0, dtype=np.intp)
             return empty, empty
@@ -199,14 +207,26 @@ class StationGrid:
         # index array and gathers.  int32 keys sort measurably faster and
         # cover any fleet x network product below 2**31.
         n = self.num_stations
-        counts = self.cell_count[hit_cell]
+        counts = _take(self.cell_count, hit_cell)
         ends = np.cumsum(counts)
         key_dtype = np.int32 if m * n < 2**31 else np.intp
         key = np.repeat((hit_sat * n).astype(key_dtype), counts)
-        key += self.cell_members[
+        key += _take(
+            self.cell_members,
             np.arange(int(ends[-1]))
-            + np.repeat(self.cell_start[hit_cell] - (ends - counts), counts)
-        ]
+            + np.repeat(_take(self.cell_start, hit_cell) - (ends - counts),
+                        counts),
+        )
         key.sort()
         sat_idx = np.floor_divide(key, n, dtype=np.intp)
         return sat_idx, key - sat_idx * n
+
+
+def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for an in-range ``index``.
+
+    ``np.take`` in clip mode skips the bounds check that fancy indexing
+    and raise-mode ``take`` make on every element (raise mode with
+    ``out=`` also copies).
+    """
+    return np.take(values, index, mode="clip")

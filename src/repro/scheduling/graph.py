@@ -37,7 +37,7 @@ from repro.linkbudget.budget import KernelStatics, LinkBudget
 from repro.orbits.frames import geodetic_to_ecef
 from repro.orbits.timebase import datetime_to_jd, gmst_rad
 from repro.satellites.satellite import Satellite
-from repro.scheduling.culling import StationGrid
+from repro.scheduling.culling import StationGrid, _take
 from repro.scheduling.value_functions import ValueFunction
 from repro.weather.cells import WeatherSample
 
@@ -225,10 +225,16 @@ class GeometryEngine:
                     math.sin(lat),
                 ]
             )
-        self._station_ecef = np.array(positions)  # (N, 3)
-        self._up = np.array(ups)  # geodetic zenith unit vectors
+        self._station_ecef = np.array(positions).reshape(-1, 3)  # (N, 3)
+        # Component-major ``(3, N)`` station positions and geodetic zenith
+        # unit vectors: the scan gathers one contiguous component at a
+        # time.
+        self._station_xyz = np.ascontiguousarray(self._station_ecef.T)
+        self._up_xyz = np.ascontiguousarray(np.reshape(ups, (-1, 3)).T)
         self._min_elevation = np.array([st.min_elevation_deg for st in network])
-        self._sin_min_elevation = np.sin(np.radians(self._min_elevation))
+        # The scan's sine-space prescreen floor per station (see
+        # :func:`_visible_rows`).
+        self._sin_floor = np.sin(np.radians(self._min_elevation)) - 1e-9
         # Per-station scalars the batched budget kernel consumes.
         self._station_lat_deg = np.array([st.latitude_deg for st in network])
         self._station_alt_km = np.array([st.altitude_km for st in network])
@@ -266,55 +272,74 @@ class GeometryEngine:
         chunk.  ``recorder`` receives the candidate counters.
         """
         cand_sat, cand_gs = self.grid.candidate_pairs(positions)
-        elevation, rng, visible = _pair_visibility(
-            self, positions, cand_sat, cand_gs
-        )
         if recorder is not None and recorder.enabled:
             recorder.counter("candidate_pairs", int(cand_sat.size))
             recorder.counter(
                 "culled_pairs",
                 len(positions) * self.grid.num_stations - int(cand_sat.size),
             )
-        sel = np.flatnonzero(visible)
-        return cand_sat[sel], cand_gs[sel], elevation[sel], rng[sel]
+        return _visible_rows(self, positions, cand_sat, cand_gs)
 
 
-def _pair_visibility(
+def _visible_rows(
     geometry: GeometryEngine,
-    sat_ecef: np.ndarray,
+    positions: np.ndarray,
     sat_idx: np.ndarray,
     gs_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair (elevation_deg, range_km, visible) for candidate pairs.
+) -> Pairs:
+    """The candidate pairs above their station's mask, in candidate order.
 
-    Subtract, norm, 3-term dot and arcsin per pair -- element for element
-    the arithmetic of a dense ``M x N`` elevation matrix, restricted to
-    the candidates, so every pair that passes the sine-space prescreen
-    has the elevation/range the dense matrix would hold, and the
-    prescreen only prunes pairs below every mask.
+    Per candidate: subtract, range, 3-term dot with the station zenith
+    and arcsin -- element for element the arithmetic of a dense
+    ``M x N`` elevation matrix (``tests/oracle.py``), restricted to the
+    candidates, so every returned row has the elevation/range the dense
+    matrix holds.  The work is laid out for cost, not the arithmetic:
+    each coordinate is gathered from a contiguous component array, and
+    the sums are written out in the order the dense matrix adds them --
+    the squared range as ``(x*x + y*y) + z*z`` (``np.linalg.norm``), the
+    zenith component as ``(x*ux + z*uz) + y*uy`` (``np.einsum``'s paired
+    SIMD lanes).  Only the visible rows are materialized.
     """
-    rel = sat_ecef[sat_idx] - geometry._station_ecef[gs_idx]
-    rng = np.linalg.norm(rel, axis=1)
-    up_component = np.einsum("ij,ij->i", rel, geometry._up[gs_idx])
+    # Promote before any in-place arithmetic: a float32 ephemeris row
+    # would otherwise round each difference to float32.
+    columns = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
+    x, y, z = (_take(columns[c], sat_idx) for c in range(3))
+    x -= _take(geometry._station_xyz[0], gs_idx)
+    y -= _take(geometry._station_xyz[1], gs_idx)
+    z -= _take(geometry._station_xyz[2], gs_idx)
+    rng = x * x
+    rng += y * y
+    rng += z * z
+    np.sqrt(rng, out=rng)
+    ratio = x
+    ratio *= _take(geometry._up_xyz[0], gs_idx)
+    z *= _take(geometry._up_xyz[2], gs_idx)
+    ratio += z
+    del z
+    y *= _take(geometry._up_xyz[1], gs_idx)
+    ratio += y
+    del y
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.clip(up_component / rng, -1.0, 1.0)
+        ratio /= rng
+    np.clip(ratio, -1.0, 1.0, out=ratio)
     # Conservative sine-space prescreen: ``degrees(arcsin(r))`` is
     # monotone in r with relative rounding error far below 1e-9, so any
     # pair whose elevation could clear its mask has
     # ``r >= sin(mask) - 1e-9``.  The exact arcsin then runs on the
-    # survivors only; pruned pairs are reported at -90 deg, which every
-    # mask rejects.
-    maybe = np.nonzero(
-        ratio >= geometry._sin_min_elevation[gs_idx] - 1e-9
-    )[0]
-    elevation = np.full(ratio.shape, -90.0)
-    visible = np.zeros(ratio.shape, dtype=bool)
-    if maybe.size:
-        gs_maybe = gs_idx[maybe]
-        elev_maybe = np.degrees(np.arcsin(ratio[maybe]))
-        elevation[maybe] = elev_maybe
-        visible[maybe] = elev_maybe > geometry._min_elevation[gs_maybe]
-    return elevation, rng, visible
+    # survivors only.
+    maybe = np.flatnonzero(ratio >= _take(geometry._sin_floor, gs_idx))
+    elevation = np.degrees(np.arcsin(_take(ratio, maybe)))
+    del ratio
+    above = np.flatnonzero(
+        elevation > _take(geometry._min_elevation, _take(gs_idx, maybe))
+    )
+    rows = _take(maybe, above)
+    return (
+        _take(sat_idx, rows),
+        _take(gs_idx, rows),
+        _take(elevation, above),
+        _take(rng, rows),
+    )
 
 
 def pair_source(

@@ -156,11 +156,7 @@ class ContactWindowIndex:
         num_sats = len(satellites)
         num_stations = len(network)
         counts = np.zeros(num_steps + 1, dtype=np.int64)
-        # Per-chunk visible rows, one array per column and chunk.
-        chunk_sat: list[np.ndarray] = []
-        chunk_gs: list[np.ndarray] = []
-        chunk_elev: list[np.ndarray] = []
-        chunk_rng: list[np.ndarray] = []
+        rows = _RowStore(num_steps)
         # Chunk the chronological scan: stacking S steps of fleet
         # positions into one (S*M, 3) block treats (step, satellite) as a
         # single row axis, so the culling matmul and the exact elevation
@@ -185,17 +181,13 @@ class ContactWindowIndex:
                 np.concatenate(blocks, axis=0), c1 - c0, num_sats, geometry,
             )
             counts[c0 + 1:c1 + 1] = step_counts
-            chunk_sat.append(sat)
-            chunk_gs.append(gs)
-            chunk_elev.append(elev)
-            chunk_rng.append(rng)
+            rows.append(c1 - c0, sat, gs, elev, rng)
+            # Free the chunk before the next one is scanned.
+            del sat, gs, elev, rng
 
         step_ptr = np.cumsum(counts)
         total = int(step_ptr[-1])
-        pair_sat = _concat_chunks(chunk_sat, np.int32)
-        pair_gs = _concat_chunks(chunk_gs, np.int32)
-        pair_elevation = _concat_chunks(chunk_elev, float)
-        pair_range = _concat_chunks(chunk_rng, float)
+        pair_sat, pair_gs, pair_elevation, pair_range = rows.finish()
 
         window_sat, window_gs, window_rise, window_set = _extract_windows(
             pair_sat, pair_gs, step_ptr, num_sats, num_stations
@@ -395,8 +387,8 @@ def _scan_chunk(
     krow = glob // num_sats
     return (
         np.bincount(krow, minlength=span),
-        (glob - krow * num_sats).astype(np.int32),
-        gi.astype(np.int32),
+        glob - krow * num_sats,
+        gi,
         elev,
         rng,
     )
@@ -449,15 +441,48 @@ def _extract_windows(
     )
 
 
-def _concat_chunks(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """Concatenate one column's chunk arrays, then empty the list.
+class _RowStore:
+    """The scan's visible rows, copied chunk by chunk into four columns.
 
-    Emptying the list frees the chunks as soon as the column exists, so
-    building the four CSR columns holds at most one column twice.
+    ``(sat, gs)`` are stored as int32, ``(elevation, range)`` as float64.
+    Each chunk is copied in and freed before the next one is scanned, so
+    no list of chunk arrays sits in the heap beside the columns built
+    from it (the allocator kept that memory resident after the build).
+    Capacity is projected from the rows per step seen so far over the
+    whole grid, plus 1/8 slack; a chunk that does not fit re-projects it
+    and copies the columns once into larger arrays, and :meth:`finish`
+    trims the unused tail in place.
     """
-    out = np.concatenate(chunks) if chunks else np.empty(0, dtype)
-    chunks.clear()
-    return out
+
+    _DTYPES = (np.int32, np.int32, np.float64, np.float64)
+
+    def __init__(self, num_steps: int):
+        self.num_steps = num_steps
+        self.steps = 0
+        self.size = 0
+        self.columns = [np.empty(0, dtype) for dtype in self._DTYPES]
+
+    def append(self, steps: int, *chunk: np.ndarray) -> None:
+        self.steps += steps
+        end = self.size + chunk[0].size
+        if end > self.columns[0].size:
+            remaining = self.num_steps - self.steps
+            capacity = end + -(-end * remaining * 9 // (8 * self.steps))
+            grown = []
+            for column in self.columns:
+                larger = np.empty(capacity, column.dtype)
+                larger[:self.size] = column[:self.size]
+                grown.append(larger)
+            self.columns = grown
+        for column, values in zip(self.columns, chunk):
+            column[self.size:end] = values
+        self.size = end
+
+    def finish(self) -> list[np.ndarray]:
+        """The four columns, trimmed to the rows stored."""
+        for column in self.columns:
+            column.resize(self.size, refcheck=False)
+        return self.columns
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +493,7 @@ def _concat_chunks(chunks: list[np.ndarray], dtype) -> np.ndarray:
 # structure, so the scan runs once per population and later builds are a
 # dictionary hit.  Soundness: the index content is a pure function of
 # the ephemeris table (keyed by object -- the ephemeris cache already
-# interns tables by TLE set / start / step / dtype), the station
+# interns tables by TLE elements / start / step / dtype), the station
 # geometry + mask fingerprint, and the step grid; hardware-class ids
 # are interned process-wide, so cached kernel statics stay valid (a
 # scheduler whose classes differ simply misses the statics dict and
@@ -500,22 +525,24 @@ def _preresolve_pair_groups(
     the class ids present among the window pairs.
     """
     gid_grid = pair_groups.gid
-    pass_stations = np.unique(window_gs).tolist()
+    pass_stations = np.flatnonzero(
+        np.bincount(window_gs, minlength=gid_grid.shape[1])
+    )
     radio_rows: dict = {}
     for i, sat in enumerate(satellites):
         radio_rows.setdefault(sat.radio, []).append(i)
     for rows in radio_rows.values():
         rep = satellites[rows[0]]
-        rows_arr = np.asarray(rows)
-        for j in pass_stations:
+        gid_row = np.empty(pass_stations.size, dtype=gid_grid.dtype)
+        for p, j in enumerate(pass_stations.tolist()):
             budget = link_budget_for(rep, j)
             gid = _budget_group_id(budget)
             pair_groups.budget_of.setdefault(gid, budget)
-            gid_grid[rows_arr, j] = gid
-    if window_sat.size:
-        gids = np.unique(gid_grid[window_sat, window_gs])
-        return set(int(g) for g in gids)
-    return set()
+            gid_row[p] = gid
+        gid_grid[np.ix_(rows, pass_stations)] = gid_row
+    # Every window pair was just resolved, so its class id is >= 0.
+    present = np.bincount(gid_grid[window_sat, window_gs])
+    return set(np.flatnonzero(present).tolist())
 
 
 def _geometry_fingerprint(geometry: GeometryEngine) -> tuple:

@@ -34,10 +34,11 @@ not baked into the index.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
-from repro.demand.tenant import check_quota_gb_per_day
+from repro.demand.tenant import check_quota_gb_per_day, check_sla_deadline_s
 from repro.obs import build_manifest
 from repro.simulation.faults import Outage
 from repro.simulation.metrics import GB_TO_BITS, SimulationReport
@@ -246,6 +247,14 @@ class SimulationSession:
                 )
             if event.chunks < 1:
                 raise ValueError("SubmitRequest.chunks must be >= 1")
+            if event.priority is not None \
+                    and not math.isfinite(event.priority):
+                raise ValueError(
+                    "SubmitRequest.priority must be finite, got "
+                    f"{event.priority!r}"
+                )
+            if event.sla_deadline_s is not None:
+                check_sla_deadline_s(event.sla_deadline_s)
         elif isinstance(event, QuotaUpdate):
             check_quota_gb_per_day(event.quota_gb_per_day)
         elif isinstance(event, OutageNotice):

@@ -42,6 +42,14 @@ class TestTenantValidation:
         with pytest.raises(ValueError, match="demand_share"):
             Tenant("acme", demand_share=0.0)
 
+    @pytest.mark.parametrize("term", ["weight", "sla_deadline_s",
+                                      "demand_share"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_terms_rejected(self, term, value):
+        """``nan <= 0`` is False, so sign checks alone let NaN through."""
+        with pytest.raises(ValueError, match=term):
+            Tenant("acme", **{term: value})
+
     def test_regions_normalized_to_tuple(self):
         tenant = Tenant("acme", regions=["americas", "europe"])
         assert tenant.regions == ("americas", "europe")

@@ -7,6 +7,9 @@ are checked against, and the only place the reference lives:
 
 * :func:`dense_visibility` -- the full ``M x N`` elevation/range matrix,
   one elementwise pass, no prefilter;
+* :func:`pair_visibility` -- the same arithmetic on candidate pairs only,
+  written the plain way (whole-row gathers, ``np.linalg.norm``,
+  ``np.einsum``), for checking the scan's reordered per-component form;
 * :func:`scalar_edges` -- one :meth:`LinkBudget.evaluate` and one
   ``ValueFunction.edge_value`` call per visible pair, weather sampled per
   station.
@@ -25,6 +28,11 @@ import numpy as np
 from repro.scheduling.graph import ContactEdge, ContactGraph, GeometryEngine
 
 
+def zenith(geometry: GeometryEngine) -> np.ndarray:
+    """The stations' geodetic zenith unit vectors, ``(N, 3)``."""
+    return np.ascontiguousarray(geometry._up_xyz.T)
+
+
 def dense_visibility(
     geometry: GeometryEngine, sat_ecef: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -32,13 +40,50 @@ def dense_visibility(
     # rel[i, j] = satellite i relative to station j.
     rel = sat_ecef[:, None, :] - geometry._station_ecef[None, :, :]
     rng = np.linalg.norm(rel, axis=2)
-    up_component = np.einsum("ijk,jk->ij", rel, geometry._up)
+    up_component = np.einsum("ijk,jk->ij", rel, zenith(geometry))
     with np.errstate(invalid="ignore", divide="ignore"):
         elevation = np.degrees(
             np.arcsin(np.clip(up_component / rng, -1.0, 1.0))
         )
     visible = elevation > geometry._min_elevation[None, :]
     return elevation, rng, visible
+
+
+def pair_visibility(
+    geometry: GeometryEngine,
+    sat_ecef: np.ndarray,
+    sat_idx: np.ndarray,
+    gs_idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-candidate ``(elevation_deg, range_km, visible)``.
+
+    Subtract, norm, 3-term dot and arcsin per pair, on ``(R, 3)`` row
+    gathers.  Pairs the sine-space prescreen drops read -90 deg.
+    """
+    rel = sat_ecef[sat_idx] - geometry._station_ecef[gs_idx]
+    rng = np.linalg.norm(rel, axis=1)
+    up_component = np.einsum("ij,ij->i", rel, zenith(geometry)[gs_idx])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.clip(up_component / rng, -1.0, 1.0)
+    sin_mask = np.sin(np.radians(geometry._min_elevation))
+    maybe = np.nonzero(ratio >= sin_mask[gs_idx] - 1e-9)[0]
+    elevation = np.full(ratio.shape, -90.0)
+    visible = np.zeros(ratio.shape, dtype=bool)
+    if maybe.size:
+        elev_maybe = np.degrees(np.arcsin(ratio[maybe]))
+        elevation[maybe] = elev_maybe
+        visible[maybe] = elev_maybe > geometry._min_elevation[gs_idx[maybe]]
+    return elevation, rng, visible
+
+
+def oracle_scan(geometry: GeometryEngine, positions: np.ndarray):
+    """:meth:`GeometryEngine.scan_visible` rows via :func:`pair_visibility`."""
+    sat_idx, gs_idx = geometry.grid.candidate_pairs(positions)
+    elevation, rng, visible = pair_visibility(
+        geometry, positions, sat_idx, gs_idx
+    )
+    sel = np.flatnonzero(visible)
+    return sat_idx[sel], gs_idx[sel], elevation[sel], rng[sel]
 
 
 def fleet_positions(scheduler, when: datetime) -> np.ndarray:

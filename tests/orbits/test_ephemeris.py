@@ -1,5 +1,6 @@
 """Batched fleet propagation vs the scalar SGP4 reference."""
 
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.orbits.ephemeris import (
 )
 from repro.orbits.sgp4 import SGP4
 from repro.orbits.timebase import datetime_to_jd, gmst_rad
+from repro.orbits.tle import TLEError
 from repro.satellites.satellite import Satellite
 
 EPOCH = datetime(2020, 6, 1)
@@ -109,6 +111,31 @@ class TestSharedCache:
         table_a = shared_ephemeris_table(fleet_a, EPOCH, 20, 60.0)
         table_b = shared_ephemeris_table(fleet_b, EPOCH, 20, 60.0)
         assert table_a is table_b
+
+    def test_elements_below_print_precision_get_their_own_table(self, tles):
+        """Mean anomalies 30.0 and 30.00004 deg print the same TLE lines.
+        Keyed on the lines, the second fleet was served the first fleet's
+        table, metres off its own positions."""
+        base = dataclasses.replace(tles[0], mean_anomaly_deg=30.0)
+        nudged = dataclasses.replace(tles[0], mean_anomaly_deg=30.00004)
+        assert base.to_lines() == nudged.to_lines()
+        shared_ephemeris_table([Satellite(tle=base)], EPOCH, 10, 60.0)
+        fleet = [Satellite(tle=nudged)]
+        served = shared_ephemeris_table(fleet, EPOCH, 10, 60.0)
+        built = EphemerisTable.build(fleet, EPOCH, 10, 60.0)
+        np.testing.assert_array_equal(served.positions, built.positions)
+
+    def test_element_set_outside_print_range_is_cached(self, tles):
+        """SGP4 ignores ndot, so an element set with |ndot| >= 1 builds
+        a table; its cache key must not need the lines it cannot print."""
+        tle = dataclasses.replace(tles[0], ndot=1.5)
+        with pytest.raises(TLEError):
+            tle.to_lines()
+        fleet = [Satellite(tle=tle)]
+        table = shared_ephemeris_table(fleet, EPOCH, 10, 60.0)
+        built = EphemerisTable.build(fleet, EPOCH, 10, 60.0)
+        np.testing.assert_array_equal(table.positions, built.positions)
+        assert shared_ephemeris_table(fleet, EPOCH, 10, 60.0) is table
 
     def test_longer_table_serves_shorter_request(self, tles):
         fleet = [Satellite(tle=t) for t in tles]

@@ -1,0 +1,128 @@
+"""The contact-window index, pinned byte for byte.
+
+Report digests only catch a bit change that happens to move a report.
+These sha256 values cover every CSR array, pass record and
+kernel-statics column of two small scenarios; they were recorded from
+the plain row-gather scan (``tests.oracle.pair_visibility``), so any
+rework of the scan or the build for speed has to reproduce them.
+
+The integer arrays are pinned everywhere.  The float columns come out of
+numpy's arcsin, log10 and exp kernels, which round differently on other
+numpy builds and SIMD targets, so they are checked only on the build
+they were recorded with.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core.scenarios import ScenarioSpec
+from repro.orbits.ephemeris import clear_ephemeris_cache
+from repro.scheduling.windows import clear_window_index_cache
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    __cpu_features__ = {}
+
+#: (numpy version, AVX512_SKX kernels) the float digests were recorded on.
+RECORDED_ON = ("2.4.6", True)
+
+SCENARIOS = {
+    "walker": dict(constellation="walker", num_satellites=400,
+                   num_stations=200, duration_s=1200.0),
+    "paper": dict(num_satellites=60, num_stations=40, duration_s=3 * 3600.0),
+}
+
+INTEGER_ARRAYS = ("step_ptr", "pair_sat", "pair_gs", "window_sat",
+                  "window_gs", "window_rise_step", "window_set_step",
+                  "boundary")
+FLOAT_ARRAYS = ("pair_elevation", "pair_range")
+
+DIGESTS = {
+    "walker": {
+        "step_ptr": "22c6d69d4e3702e886b382523d462f8ad273107b55092f8847e3762f4f1d2ce2",
+        "pair_sat": "c4b545345329170282a8010cdf2cc6cffde9316babb61e28bfa328b230f9a225",
+        "pair_gs": "f2aab870698ba7d124678dfb9c0a2dcb02813ac5fc24c08a7a07eb3e9273b588",
+        "pair_elevation": "62f5f4c1745e3c80e4f64a991fa626fc193fedd1384a4b80982faa31d5f26ef4",
+        "pair_range": "22c209fd60161dba322c632af08a7f9648ef29ced275ac632a5657a7ad0efd83",
+        "window_sat": "ad4ee0168ca6e69076ab09d7ce25284f16cd26827874c9524379c4bb22202460",
+        "window_gs": "0605fe3ab5747ed3fdbe22d793a66b0df87b3754ee4ae196450649bd215e8524",
+        "window_rise_step": "e23c0e18622a663ecc681f15e6fb51ac903f5a6e91ffd037f68b189355a3b8b7",
+        "window_set_step": "affe680528025cb5b4d0f923b1d2946803dabf067fb7cc65c7d07b4e44120f5f",
+        "boundary": "a3661b5d0b99b071f003534bf049a0d317277f957267a0b415e2156b193b68dc",
+        "statics0.fspl_db": "a90f8fa517c071e7df5e9ba3962e4d9e55cab8ce15f5d72ad7024a5b00267d32",
+        "statics0.gas_db": "677339819e1b8e862b76ccec0bf51b8ebd0072c0f69804b8441b1f7d71e9d9e3",
+        "statics0.sin_el": "3227f3d6eca95d1a9f11958d90aa3b727f656428848de81c41b6013831f87778",
+        "statics0.rain_slant": "97a9911cb1de17d17b8819ebc49c47488c211d4e4d268284157bda8b482e0da6",
+        "statics0.rain_lg": "f310255b50719c4af53ad5fa443bd3b7d0fd44dd54ecce4733b5cfbd77a59060",
+        "statics0.rain_b": "6a9fd2cab8da6e5944ac6212f628a006fac2aa51f55f5b5b8d7da332c2530928",
+    },
+    "paper": {
+        "step_ptr": "8faaf8d896832473af611b791b4301fd9381976107c5ed35536661f63d306074",
+        "pair_sat": "79a62c209a870ebb5fcb3a3d97fab567c54a0cc94bd3fa6a3968a1c10a4f6adc",
+        "pair_gs": "51005b5d590c09c56638bc60a950cc67ee932265a3a5ad5b4b93f31c365a08f1",
+        "pair_elevation": "6b6a57bd81ddb78c89ab0d5f7ff0927123ca104a57ebf2182ffe06181c891cd6",
+        "pair_range": "a371cc03f69d0c7bd46780ad71f9ada4313cbadaebbbdad752de71f1793193de",
+        "window_sat": "3a630dff3159579bdb21caabae3e739744dd8b4c2d82015d2781cd8f50fe3fcf",
+        "window_gs": "2a0587f6819d1c4fa5a16f93a805c0c2ceaa0f16067e71bd228d910612a3e209",
+        "window_rise_step": "424c4d48a992daf34726078bb58b004f3cc77894f939469a626dd687a7bc76e6",
+        "window_set_step": "c9db1894e3306bae38857a563607bcc1588a12ab84dd786c81e0c2f45d223548",
+        "boundary": "09bafdc2b9c621dc326ae4dd68b59e27e30e2fd8c3d86b3d84be4fb648783c2f",
+        "statics0.fspl_db": "4c693d961930885593dc51385349f57c941a9dbefc9e3ed61a213ab70df076df",
+        "statics0.gas_db": "6a497f5e1a533dd5bc0021dccfc3fe352689688a672aca64c0523cb2cffc0bb8",
+        "statics0.sin_el": "45a77b979751c4105fc34c7569dffa1aa22d45372fa503aded2a06cda817bb78",
+        "statics0.rain_slant": "c2c4927d36e8020360b8d112ae0abbd4658f740e4d56ba706d59a353feded95d",
+        "statics0.rain_lg": "d198d190d635e916984e29ed32083eaafa0866db23123e0f9df5927f2302a1db",
+        "statics0.rain_b": "8f4b3a0bbdc170bc1538ce02b92e70b88abbcae8feda4716befe8d0d65272142",
+    },
+}
+
+
+def _digest(array: np.ndarray) -> str:
+    """sha256 of an array's dtype, shape and bytes."""
+    h = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def indexes():
+    clear_ephemeris_cache()
+    clear_window_index_cache()
+    built = {
+        name: ScenarioSpec.dgs(**kwargs).build().simulation.window_index
+        for name, kwargs in SCENARIOS.items()
+    }
+    clear_ephemeris_cache()
+    clear_window_index_cache()
+    return built
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_integer_arrays(indexes, scenario):
+    index = indexes[scenario]
+    for name in INTEGER_ARRAYS:
+        assert _digest(getattr(index, name)) == DIGESTS[scenario][name], name
+
+
+@pytest.mark.skipif(
+    (np.__version__, bool(__cpu_features__.get("AVX512_SKX")))
+    != RECORDED_ON,
+    reason="float digests were recorded with numpy 2.4.6 AVX512_SKX kernels",
+)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_float_columns(indexes, scenario):
+    index = indexes[scenario]
+    got = {name: _digest(getattr(index, name)) for name in FLOAT_ARRAYS}
+    for c, gid in enumerate(sorted(index._kernel_statics)):
+        statics = index._kernel_statics[gid]
+        for field in dataclasses.fields(statics):
+            column = getattr(statics, field.name)
+            if column is not None:
+                got[f"statics{c}.{field.name}"] = _digest(column)
+    want = {name: value for name, value in DIGESTS[scenario].items()
+            if name not in INTEGER_ARRAYS}
+    assert got == want

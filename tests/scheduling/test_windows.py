@@ -32,6 +32,7 @@ from repro.scheduling.graph import GeometryEngine, PairGroupCache
 from repro.scheduling.windows import (
     ContactWindowIndex,
     _extract_windows,
+    _RowStore,
     clear_window_index_cache,
     shared_window_index,
 )
@@ -276,6 +277,30 @@ class TestWindowExtraction:
         )
         assert all(w.dtype == np.int32 for w in got)
         assert list(zip(*(w.tolist() for w in got))) == self._runs(visible)
+
+
+class TestRowStore:
+    @pytest.mark.parametrize("sizes", [
+        [(2, 5), (2, 50), (1, 0), (3, 400), (2, 7)],  # grows twice
+        [(4, 30), (4, 10), (2, 0)],                    # trims slack
+        [(1, 0), (3, 0)],                              # nothing visible
+    ])
+    def test_matches_concatenation(self, sizes):
+        """Chunks copied into the store, grown and trimmed as needed,
+        equal the chunks concatenated, in the stored dtypes."""
+        rng = np.random.default_rng(len(sizes))
+        store = _RowStore(sum(steps for steps, _rows in sizes))
+        chunks = []
+        for steps, rows in sizes:
+            chunk = (rng.integers(0, 1000, rows), rng.integers(0, 50, rows),
+                     rng.normal(size=rows), rng.normal(size=rows))
+            store.append(steps, *chunk)
+            chunks.append(chunk)
+        got = store.finish()
+        for column, dtype, parts in zip(got, _RowStore._DTYPES,
+                                        zip(*chunks)):
+            assert column.dtype == dtype
+            assert np.array_equal(column, np.concatenate(parts))
 
 
 class TestStepOf:

@@ -216,6 +216,27 @@ class TestErrorContract:
             assert status == 400, quota
             assert "quota_gb_per_day" in reply["error"]
 
+    def test_non_finite_deadline_400_and_ticking(self):
+        """A NaN deadline used to be acked ``queued``; the next capture
+        then raised in the tick thread and the session stopped while
+        ``/healthz`` still answered."""
+        service = make_service(pace_s=0.02, duration_s=3600.0)
+        with serving(service) as (service, call):
+            sat = service.session.simulation.satellites[0].satellite_id
+            for deadline in ("nan", "inf", "-inf"):
+                status, reply = call("POST", "/requests", {
+                    "request_id": f"bad-{deadline}", "tenant_id": "premium",
+                    "satellite_id": sat, "sla_deadline_s": deadline,
+                })
+                assert status == 400, deadline
+                assert "sla_deadline_s" in reply["error"]
+            assert service.session.snapshot()["pending_events"] == 0
+            give_up = time.monotonic() + 30.0
+            while call("GET", "/healthz")[1]["step"] < \
+                    service.session.horizon_steps:
+                assert time.monotonic() < give_up, "the session stopped"
+                time.sleep(0.05)
+
     def test_bad_since_400(self, daemon):
         _service, call = daemon
         status, body = call("GET", "/plan/deltas?since=minus-one")

@@ -109,6 +109,28 @@ class TestIngestSemantics:
         assert session.snapshot()["pending_events"] == 0
         assert "req-ok" not in session._seen_request_ids
 
+    @pytest.mark.parametrize("term, value", [
+        ("sla_deadline_s", float("nan")),
+        ("sla_deadline_s", float("inf")),
+        ("sla_deadline_s", 0.0),
+        ("sla_deadline_s", -60.0),
+        ("priority", float("nan")),
+        ("priority", float("-inf")),
+    ])
+    def test_bad_request_terms_reject_batch(self, term, value):
+        """A NaN or infinite deadline used to queue, then raise inside
+        ``advance()`` at the satellite's next capture."""
+        session = SimulationSession(tenant_spec())
+        sat = session.simulation.satellites[0].satellite_id
+        with pytest.raises(ValueError, match=term):
+            session.ingest([
+                SubmitRequest("req-ok", "premium", sat),
+                SubmitRequest("req-bad", "premium", sat, **{term: value}),
+            ])
+        assert session.snapshot()["pending_events"] == 0
+        assert "req-ok" not in session._seen_request_ids
+        session.run_to_horizon()
+
     def test_ingest_after_advance_applies_at_next_tick(self):
         """Events land at the *next* tick boundary, never retroactively."""
         session = SimulationSession(tenant_spec())
