@@ -9,6 +9,7 @@ The scalar row times the test oracle (``tests/oracle.py``), the
 reference the production path is measured against.
 """
 
+import math
 import time
 from datetime import datetime, timedelta
 
@@ -161,15 +162,19 @@ def test_deadline_pricing_overhead_paper_scale():
     """Acceptance gate: tenant-priced Phi within 1.5x of LatencyValue.
 
     Times graph construction on the fig3a workload (259 x 173, batched
-    kernels, shared ephemeris) under both value functions, back to back
-    over the same instants on the same tenant-stamped fleet, and asserts
-    the deadline pricing's extra work (demand columns, per-slot weights,
-    urgency term) stays within 1.5x of the paper's age-only pricing.
+    kernels, shared ephemeris) under both value functions over the same
+    instants on the same tenant-stamped fleet, and asserts the deadline
+    pricing's extra work (demand columns, per-slot weights, urgency
+    term) stays within 1.5x of the paper's age-only pricing.  Each arm
+    first runs the whole loop once untimed, so neither pays the loop's
+    warm-up; the arms are then timed alternately, best of
+    ``passes`` each.
     """
     from repro.demand import DemandAssigner, RequestGenerator, tenant_mix
     from repro.scheduling.value_functions import DeadlineSlaValue
 
     num_steps = 30
+    passes = 5
     mix = tenant_mix("balanced")
 
     clear_ephemeris_cache()
@@ -194,13 +199,18 @@ def test_deadline_pricing_overhead_paper_scale():
             scheduler.contact_graph(EPOCH + timedelta(minutes=k))
         return time.perf_counter() - start
 
-    latency = build(LatencyValue())
-    deadline = build(DeadlineSlaValue(tenants=mix))
-    # Warm caches (weather, pair groups, demand columns) on both sides.
-    latency.contact_graph(EPOCH)
-    deadline.contact_graph(EPOCH)
-    elapsed_deadline = run(deadline)
-    elapsed_latency = run(latency)
+    arms = {"latency": build(LatencyValue()),
+            "deadline": build(DeadlineSlaValue(tenants=mix))}
+    # Warm caches (weather, pair groups, demand columns) over the whole
+    # loop on both sides before anything is timed.
+    for scheduler in arms.values():
+        run(scheduler)
+    best = dict.fromkeys(arms, math.inf)
+    for p in range(passes):
+        order = ("deadline", "latency") if p % 2 else ("latency", "deadline")
+        for name in order:
+            best[name] = min(best[name], run(arms[name]))
+    elapsed_latency, elapsed_deadline = best["latency"], best["deadline"]
 
     ratio = elapsed_deadline / elapsed_latency
     print(

@@ -23,9 +23,10 @@ the gates pin the scale the claims were measured at:
 3. Idle-tick fast-forward -- on a sparse toy constellation the engine
    skips graph build and matching outright whenever the index reports
    zero active pairs (``idle_ticks_skipped > 0``), while the report
-   stays byte-identical to the detached run and the reuse counters
-   (``window_index_hits``, ``edges_rebuilt``) show intra-pass edge
-   reuse actually firing.
+   stays byte-identical to the detached run, the index serves pairs
+   (``window_index_hits > 0``) and demand-first pricing fires
+   (``0 < priced_pairs < visible_pairs``: pairs whose satellite has
+   nothing queued never reach the link-budget kernel).
 
 The pytest-benchmark timings feed the committed
 ``benchmarks/baselines/BENCH_windows.baseline.json`` that
@@ -186,7 +187,7 @@ def test_end_to_end_fullday_gate():
 
 
 def test_idle_tick_fast_forward_sparse_toy():
-    """Sparse toy: idle ticks are skipped, edges reused, report identical."""
+    """Sparse toy: idle ticks skipped, empty queues unpriced, same report."""
     spec = ScenarioSpec.dgs(num_satellites=6, num_stations=4,
                             duration_s=14400.0)
     observed = replace(spec, observability=ObsConfig()).build()
@@ -196,9 +197,9 @@ def test_idle_tick_fast_forward_sparse_toy():
         "sparse toy never fast-forwarded an idle tick"
     )
     assert counters.get("window_index_hits", 0) > 0
-    assert counters.get("edges_rebuilt", 0) > 0
-    # Reuse means strictly fewer rebuilds than index-served steps.
-    assert counters["edges_rebuilt"] < counters["window_index_hits"]
+    # Demand-first pricing: some visible pairs reach the kernel, and the
+    # pairs of satellites with nothing queued do not.
+    assert 0 < counters.get("priced_pairs", 0) < counters["visible_pairs"]
     assert "window_index_build" in observed.simulation.obs.span_calls()
 
     on = spec.build().simulation.run()

@@ -32,16 +32,26 @@ def check_quota_gb_per_day(quota_gb_per_day: float) -> None:
         )
 
 
+#: Longest SLA deadline accepted: 100 Julian years.  A chunk's deadline
+#: is a ``datetime``, which ends at year 9999; ``timedelta(seconds=1e15)``
+#: already raises, and ``datetime(2020, 1, 1)`` plus 3e11 s is out of
+#: range, so the bound sits well inside what any capture time can carry.
+MAX_SLA_DEADLINE_S = 100 * 365.25 * 86400.0
+
+
 def check_sla_deadline_s(sla_deadline_s: float) -> None:
-    """Raise ``ValueError`` unless an SLA deadline is finite and > 0.
+    """Raise ``ValueError`` unless 0 < ``sla_deadline_s`` <= 100 years.
 
     A chunk's deadline is its capture time plus this many seconds, so a
-    NaN or infinite one raises at the satellite's next capture instead
-    of where it was set.
+    NaN or infinite one -- or a finite one past
+    :data:`MAX_SLA_DEADLINE_S`, beyond what a ``datetime`` holds -- would
+    raise at the satellite's next capture instead of where it was set.
     """
-    if not (math.isfinite(sla_deadline_s) and sla_deadline_s > 0.0):
+    if not (math.isfinite(sla_deadline_s)
+            and 0.0 < sla_deadline_s <= MAX_SLA_DEADLINE_S):
         raise ValueError(
-            f"sla_deadline_s must be finite and > 0, got {sla_deadline_s!r}"
+            "sla_deadline_s must be finite, > 0 and <= "
+            f"{MAX_SLA_DEADLINE_S:.0f} s (100 years), got {sla_deadline_s!r}"
         )
 
 

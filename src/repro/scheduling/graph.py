@@ -405,7 +405,6 @@ def build_contact_graph(
     queue_profile=None,
     recorder=None,
     window_index=None,
-    window_state: dict | None = None,
     weather_memo=None,
 ) -> ContactGraph:
     """Construct the weighted bipartite graph at ``when``.
@@ -425,13 +424,11 @@ def build_contact_graph(
     <= 0 prunes the station entirely.
 
     ``ephemeris`` and ``window_index`` feed the :func:`pair_source`.
-    ``window_state`` is a mutable per-scheduler dict caching per-pair
-    gathers between the index's rise/set boundary ticks, and
     ``weather_memo`` (a ``_StationWeatherMemo``) reuses per-station
-    samples within one provider quantization bucket; both are
+    samples within one provider quantization bucket; it is
     value-neutral.  ``recorder`` (a :class:`repro.obs.Recorder`)
-    receives visible-pair, candidate-pair and ephemeris-row counters; it
-    never influences the constructed graph.
+    receives visible-pair, priced-pair, candidate-pair and ephemeris-row
+    counters; it never influences the constructed graph.
     """
     if geometry is None:
         geometry = GeometryEngine(network)
@@ -455,8 +452,7 @@ def build_contact_graph(
         satellites, network, when, value_function, link_budget_for,
         forecast, step_s, geometry, pairs, unavailable,
         require_current_plan, plan_max_age_s, weight_factor, pair_groups,
-        queue_profile, window_index, step, window_state, weather_memo,
-        recorder,
+        queue_profile, window_index, step, weather_memo, recorder,
     )
     if isinstance(edges, EdgeColumns):
         return ContactGraph(when=when, columns=edges,
@@ -535,7 +531,6 @@ def _mask_and_price(
     queue_profile,
     window_index,
     step: int | None,
-    window_state: dict | None,
     weather_memo,
     recorder,
 ) -> "EdgeColumns | list[ContactEdge]":
@@ -546,11 +541,7 @@ def _mask_and_price(
     :func:`_price_pairs` in that order (matchers tie-break on it).  In
     the common unmasked case the pair arrays flow through without a copy.
     When an index step served the pairs, its precomputed kernel statics
-    are gathered alongside, and between rise/set boundary ticks -- where
-    the pair topology is constant -- the per-pair gathers the pricing
-    kernel needs (station latitude/altitude, hardware-class ids) are
-    cached in ``window_state`` and reused; the ``edges_rebuilt`` counter
-    ticks only when a pass boundary invalidates them.
+    travel alongside and are gathered with the same rows.
     """
     pair_sat, pair_gs, pair_elevation, pair_range = pairs
     num_sats = len(satellites)
@@ -581,51 +572,13 @@ def _mask_and_price(
         keep = mask if keep is None else keep & mask
     if keep is not None and bool(keep.all()):
         keep = None
-
-    pair_static = None
-    kernel_static = None
-    if step is not None:
-        kernel_static = window_index.kernel_statics_at(step)
-    if keep is None:
-        if (
-            step is not None
-            and window_state is not None
-            and pair_groups is not None
-        ):
-            seg = window_index.segment_id(step)
-            if window_state.get("segment") == seg:
-                pair_static = window_state.get("static")
-            if pair_static is None and n:
-                gids = pair_groups.gid[pair_sat, pair_gs]
-                if not (gids < 0).any():
-                    pair_static = (
-                        geometry._station_lat_deg[pair_gs],
-                        geometry._station_alt_km[pair_gs],
-                        gids,
-                    )
-                    window_state["segment"] = seg
-                    window_state["static"] = pair_static
-                    if recorder is not None and recorder.enabled:
-                        recorder.counter("edges_rebuilt")
-        sel_sat, sel_gs = pair_sat, pair_gs
-        sel_elev, sel_rng = pair_elevation, pair_range
-    else:
-        final = np.nonzero(keep)[0]
-        sel_sat, sel_gs = pair_sat[final], pair_gs[final]
-        sel_elev, sel_rng = pair_elevation[final], pair_range[final]
-        if kernel_static is not None:
-            # Gathering precomputed columns with the same mask keeps them
-            # element-aligned (and element-wise ops on a gathered subset
-            # are bit-equal to gathering their full-array results).
-            kernel_static = {
-                gid: st.take(final) for gid, st in kernel_static.items()
-            }
     return _price_pairs(
         satellites, network, when, value_function, link_budget_for,
-        forecast, step_s, geometry, sel_sat, sel_gs, sel_elev, sel_rng,
-        weight_factor, pair_groups, queue_profile,
-        weather_memo=weather_memo, pair_static=pair_static,
-        kernel_static=kernel_static,
+        forecast, step_s, geometry, pairs,
+        None if keep is None else np.flatnonzero(keep),
+        weight_factor, pair_groups, queue_profile, weather_memo,
+        None if step is None else window_index.kernel_statics_at(step),
+        recorder,
     )
 
 
@@ -638,40 +591,47 @@ def _price_pairs(
     forecast: ForecastFn,
     step_s: float,
     geometry: GeometryEngine,
-    sat_idx: np.ndarray,
-    gs_idx: np.ndarray,
-    pair_elevation: np.ndarray,
-    pair_range: np.ndarray,
-    weight_factor: list[float] | None = None,
-    pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
-    weather_memo=None,
-    pair_static: tuple | None = None,
-    kernel_static: dict[int, KernelStatics] | None = None,
+    pairs: Pairs,
+    rows: np.ndarray | None,
+    weight_factor: list[float] | None,
+    pair_groups: PairGroupCache | None,
+    queue_profile,
+    weather_memo,
+    kernel_static: dict[int, KernelStatics] | None,
+    recorder,
 ) -> "EdgeColumns | list[ContactEdge]":
-    """Price feasible pairs through the batched budget kernel.
+    """Price the feasible pairs through the batched budget kernel.
 
-    The pricing half of :func:`_mask_and_price`: ``sat_idx``/``gs_idx``
-    are the feasible pairs (all masks applied, row-major) with their
-    already-gathered elevation/range.
+    The pricing half of :func:`_mask_and_price`: ``rows`` indexes the
+    feasible entries of ``pairs`` (``None`` when every pair is feasible),
+    and ``kernel_static`` maps hardware-class gid to precomputed
+    :class:`~repro.linkbudget.budget.KernelStatics` columns aligned with
+    ``pairs``; the budget kernel then skips its fspl, gas, and
+    cloud-sine evaluations bit-identically.
+
+    Weather is sampled for every feasible station first.  With a
+    vectorized ``edge_values`` the fleet queue profile is refreshed for
+    the satellites in view next, and pairs whose satellite has nothing
+    queued are dropped before any per-pair gather or kernel call: every
+    ``edge_values`` prices an empty queue at exactly 0.0 and zero-weight
+    edges are never kept, so the graph is unchanged.  The scalar
+    per-edge path prices every feasible pair.
 
     ``weather_memo`` substitutes a per-station sample memo for the
     involved-station oracle loop; it issues the identical first call per
     provider quantization bucket, so the returned values (and the
     provider's cache contents) are bit-identical to the loop's.
-    ``pair_static`` is an optional pre-gathered
-    ``(station_lat_deg, station_alt_km, gids)`` triple for this exact
-    pair set, reused across an index segment's boundary-free ticks.
-    ``kernel_static`` maps hardware-class gid to precomputed
-    :class:`~repro.linkbudget.budget.KernelStatics` columns aligned with
-    this exact pair set; the budget kernel then skips its fspl, gas, and
-    cloud-sine evaluations bit-identically.
     """
+    pair_sat, pair_gs, pair_elevation, pair_range = pairs
+    sat_idx = pair_sat if rows is None else pair_sat[rows]
+    gs_idx = pair_gs if rows is None else pair_gs[rows]
     if sat_idx.size == 0:
         return _empty_columns()
     num_sats, num_stations = len(satellites), len(network)
 
-    # Weather once per involved station.
+    # Weather once per involved station, over every feasible pair: a
+    # QuantizedWeatherCache keeps the first instant it sees per bucket,
+    # so skipping a station here would change what it later returns.
     # Involved stations via a bincount-style flag pass: gs_idx is bounded
     # by the (small) station count, so this avoids sorting the pair list.
     # An identically-clear provider skips the oracle loop: every sample
@@ -696,6 +656,38 @@ def _price_pairs(
             rain[j] = sample.rain_rate_mm_h
             cloud[j] = sample.cloud_water_kg_m2
 
+    # Demand first: only a satellite with queued data can carry an edge.
+    # Counts are read after the refresh (a row is only as fresh as the
+    # storage version it last saw).  Pairs arrive row-major, so sat_idx
+    # is nondecreasing: dedupe by extracting run starts instead of a
+    # full unique sort.
+    batch_values = getattr(value_function, "edge_values", None)
+    batched = batch_values is not None and queue_profile is not None
+    if batched:
+        run_start = np.empty(sat_idx.size, dtype=bool)
+        run_start[0] = True
+        np.not_equal(sat_idx[1:], sat_idx[:-1], out=run_start[1:])
+        queue_profile.refresh(sat_idx[run_start])
+        loaded = np.flatnonzero(queue_profile.counts_of(sat_idx))
+        if loaded.size < sat_idx.size:
+            rows = loaded if rows is None else rows[loaded]
+            sat_idx = sat_idx[loaded]
+            gs_idx = gs_idx[loaded]
+            if sat_idx.size == 0:
+                return _empty_columns()
+    if rows is not None:
+        pair_elevation = pair_elevation[rows]
+        pair_range = pair_range[rows]
+        if kernel_static is not None:
+            # Gathering precomputed columns with the same rows keeps them
+            # element-aligned (and element-wise ops on a gathered subset
+            # are bit-equal to gathering their full-array results).
+            kernel_static = {
+                gid: st.take(rows) for gid, st in kernel_static.items()
+            }
+    if recorder is not None and recorder.enabled:
+        recorder.counter("priced_pairs", int(sat_idx.size))
+
     # Group pairs by budget hardware class; the paper's scenarios collapse
     # to one or two classes, so the kernel runs once or twice per instant.
     # The class of a pair never changes, so the PairGroupCache resolves
@@ -703,23 +695,20 @@ def _price_pairs(
     # pre-resolves every pair it will ever emit at build time).
     if pair_groups is None:
         pair_groups = PairGroupCache(num_sats, num_stations)
-    if pair_static is not None:
-        station_lat, station_alt, gids = pair_static
-    else:
-        gids = pair_groups.gid[sat_idx, gs_idx]
-        unresolved = np.nonzero(gids < 0)[0]
-        if unresolved.size:
-            sat_list = sat_idx.tolist()
-            gs_list = gs_idx.tolist()
-            for p in unresolved.tolist():
-                i, j = sat_list[p], gs_list[p]
-                budget = link_budget_for(satellites[i], j)
-                gid = _budget_group_id(budget)
-                pair_groups.gid[i, j] = gid
-                pair_groups.budget_of.setdefault(gid, budget)
-                gids[p] = gid
-        station_lat = geometry._station_lat_deg[gs_idx]
-        station_alt = geometry._station_alt_km[gs_idx]
+    gids = pair_groups.gid[sat_idx, gs_idx]
+    unresolved = np.nonzero(gids < 0)[0]
+    if unresolved.size:
+        sat_list = sat_idx.tolist()
+        gs_list = gs_idx.tolist()
+        for p in unresolved.tolist():
+            i, j = sat_list[p], gs_list[p]
+            budget = link_budget_for(satellites[i], j)
+            gid = _budget_group_id(budget)
+            pair_groups.gid[i, j] = gid
+            pair_groups.budget_of.setdefault(gid, budget)
+            gids[p] = gid
+    station_lat = geometry._station_lat_deg[gs_idx]
+    station_alt = geometry._station_alt_km[gs_idx]
 
     pair_count = sat_idx.size
     gid_lo = int(gids.min())
@@ -777,19 +766,12 @@ def _price_pairs(
     # queue profile in a few numpy passes; others fall back to the scalar
     # per-edge call.  Both produce bit-identical weights (the batch
     # kernels mirror the scalar arithmetic operation for operation).
-    batch_values = getattr(value_function, "edge_values", None)
-    if batch_values is not None and queue_profile is not None:
+    if batched:
         keep = np.nonzero(closes)[0]
         if keep.size == 0:
             return _empty_columns()
         k_sat = sat_idx[keep]
         k_gs = gs_idx[keep]
-        # Pairs arrive row-major, so k_sat is nondecreasing: dedupe by
-        # extracting run starts instead of a full unique sort.
-        run_start = np.empty(k_sat.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(k_sat[1:], k_sat[:-1], out=run_start[1:])
-        queue_profile.refresh(k_sat[run_start])
         weights = batch_values(
             queue_profile, k_sat, bitrate[keep], when, step_s
         )

@@ -304,9 +304,6 @@ class DownlinkScheduler:
         #: source reads active pairs from it; other instants run one
         #: step of the same scan.
         self.window_index = None
-        #: Per-pass-segment gather cache for the window path (station
-        #: scalars + hardware-class ids, reused between rise/set ticks).
-        self._window_state: dict = {}
         #: Lazily-built per-station weather memo (nowcast path only).
         self._weather_memo: _StationWeatherMemo | None = None
 
@@ -433,7 +430,6 @@ class DownlinkScheduler:
             queue_profile=self._queue_profile,
             recorder=self.recorder,
             window_index=self.window_index,
-            window_state=self._window_state,
             weather_memo=weather_memo,
         )
 

@@ -245,7 +245,18 @@ class FleetQueueProfile:
 
 @runtime_checkable
 class ValueFunction(Protocol):
-    """Edge-weight oracle for the bipartite matching."""
+    """Edge-weight oracle for the bipartite matching.
+
+    An implementation may add a vectorized ``edge_values(profile,
+    sat_idx, bitrate_bps, now, step_s)`` over a
+    :class:`FleetQueueProfile`.  Such an ``edge_values`` must return
+    exactly 0.0 for every edge whose satellite has an empty send queue
+    (``profile.counts_of == 0``), at any bitrate and instant: the graph's
+    pricing tail drops those pairs before the link-budget kernel runs
+    and never calls it for them.  Value functions that price an empty
+    queue above zero implement only :meth:`edge_value`, which is called
+    for every feasible pair.
+    """
 
     def edge_value(
         self,

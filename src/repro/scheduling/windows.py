@@ -22,9 +22,7 @@ one step -- and stores the visible pairs of every step as CSR arrays:
   :class:`~repro.orbits.passes.ContactWindow` boundary contract, so a
   set landing exactly on a tick is never double-counted.
 * ``boundary[k]`` flags ticks where some pair rises or sets; between
-  boundaries the edge *topology* is constant, so per-pair gathers
-  (station latitude/altitude, hardware-class ids) are reused and only
-  weights/values/ACM are re-evaluated.
+  boundaries the edge *topology* is constant.
 
 Because the stored elevations/ranges come from the same scan on the
 same ephemeris rows, an instant answers identically from the index and
@@ -118,9 +116,6 @@ class ContactWindowIndex:
         #: ``boundary[k]`` is True when the visible-pair set at ``k``
         #: differs from step ``k - 1`` (some pass rose or set).
         self.boundary = boundary
-        #: Monotone segment label: constant between boundaries, so two
-        #: steps share a label iff their pair sets are identical.
-        self._segment = np.cumsum(boundary.astype(np.int64))
         #: Per-hardware-class geometry-only kernel terms, aligned with the
         #: CSR pair arrays (filled by :meth:`build` when the class count
         #: is small; see :meth:`kernel_statics_at`).
@@ -310,15 +305,6 @@ class ContactWindowIndex:
             gid: st.narrow(lo, hi)
             for gid, st in self._kernel_statics.items()
         }
-
-    def segment_id(self, k: int) -> int:
-        """Label constant between rise/set boundaries.
-
-        Two steps share a label iff their visible-pair sets (and order)
-        are identical, which is what makes cached per-pair gathers safe
-        to reuse across the segment.
-        """
-        return int(self._segment[k])
 
     @property
     def num_windows(self) -> int:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.demand import TENANT_MIXES, Tenant, tenant_mix
+from repro.demand.tenant import MAX_SLA_DEADLINE_S
 
 
 class TestTenantValidation:
@@ -49,6 +50,16 @@ class TestTenantValidation:
         """``nan <= 0`` is False, so sign checks alone let NaN through."""
         with pytest.raises(ValueError, match=term):
             Tenant("acme", **{term: value})
+
+    @pytest.mark.parametrize("deadline", [1e15, 1e13, 3e11])
+    def test_deadline_past_datetime_range_rejected(self, deadline):
+        """Capture time plus such a deadline overflows ``datetime``."""
+        with pytest.raises(ValueError, match="sla_deadline_s"):
+            Tenant("acme", sla_deadline_s=deadline)
+
+    def test_deadline_at_bound_accepted(self):
+        tenant = Tenant("acme", sla_deadline_s=MAX_SLA_DEADLINE_S)
+        assert tenant.sla_deadline_s == MAX_SLA_DEADLINE_S
 
     def test_regions_normalized_to_tuple(self):
         tenant = Tenant("acme", regions=["americas", "europe"])

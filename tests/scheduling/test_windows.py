@@ -108,8 +108,8 @@ class TestCsrAgainstDirectGeometry:
             sat, gs, _, _ = index.pairs_at(k)
             assert from_windows[k] == set(zip(sat.tolist(), gs.tolist()))
 
-    def test_boundary_flags_and_segments(self):
-        """Boundary iff the pair set changed; segments constant between."""
+    def test_boundary_flags(self):
+        """Boundary iff the pair set changed since the previous step."""
         satellites = _fleet()
         network = satnogs_like_network(30, seed=13)
         index = _build(satellites, network)
@@ -121,8 +121,6 @@ class TestCsrAgainstDirectGeometry:
                 assert index.boundary[0]
             else:
                 assert bool(index.boundary[k]) == (current != previous)
-                same_segment = index.segment_id(k) == index.segment_id(k - 1)
-                assert same_segment == (not index.boundary[k])
             previous = current
 
     def test_streaming_ephemeris_build_identical(self):
@@ -145,7 +143,7 @@ class TestCsrAgainstDirectGeometry:
 _INDEX_ARRAYS = (
     "step_ptr", "pair_sat", "pair_gs", "pair_elevation", "pair_range",
     "window_sat", "window_gs", "window_rise_step", "window_set_step",
-    "boundary", "_segment",
+    "boundary",
 )
 _STATICS_COLUMNS = (
     "fspl_db", "gas_db", "sin_el", "rain_slant", "rain_lg", "rain_b",

@@ -216,14 +216,12 @@ class TestErrorContract:
             assert status == 400, quota
             assert "quota_gb_per_day" in reply["error"]
 
-    def test_non_finite_deadline_400_and_ticking(self):
-        """A NaN deadline used to be acked ``queued``; the next capture
-        then raised in the tick thread and the session stopped while
-        ``/healthz`` still answered."""
+    @staticmethod
+    def _assert_deadlines_400_and_ticking(deadlines):
         service = make_service(pace_s=0.02, duration_s=3600.0)
         with serving(service) as (service, call):
             sat = service.session.simulation.satellites[0].satellite_id
-            for deadline in ("nan", "inf", "-inf"):
+            for deadline in deadlines:
                 status, reply = call("POST", "/requests", {
                     "request_id": f"bad-{deadline}", "tenant_id": "premium",
                     "satellite_id": sat, "sla_deadline_s": deadline,
@@ -236,6 +234,18 @@ class TestErrorContract:
                     service.session.horizon_steps:
                 assert time.monotonic() < give_up, "the session stopped"
                 time.sleep(0.05)
+
+    def test_non_finite_deadline_400_and_ticking(self):
+        """A NaN deadline used to be acked ``queued``; the next capture
+        then raised in the tick thread and the session stopped while
+        ``/healthz`` still answered."""
+        self._assert_deadlines_400_and_ticking(("nan", "inf", "-inf"))
+
+    def test_out_of_range_deadline_400_and_ticking(self):
+        """A finite deadline past what a ``datetime`` holds used to be
+        acked ``queued``; the next capture then raised OverflowError in
+        the tick thread."""
+        self._assert_deadlines_400_and_ticking((1e15, 1e13, 3e11))
 
     def test_bad_since_400(self, daemon):
         _service, call = daemon

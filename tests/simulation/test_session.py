@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.scenarios import ScenarioSpec
 from repro.demand import tenant_mix
+from repro.demand.tenant import MAX_SLA_DEADLINE_S
 from repro.simulation import (
     OutageNotice,
     QuotaUpdate,
@@ -114,12 +115,15 @@ class TestIngestSemantics:
         ("sla_deadline_s", float("inf")),
         ("sla_deadline_s", 0.0),
         ("sla_deadline_s", -60.0),
+        ("sla_deadline_s", 1e15),
+        ("sla_deadline_s", 1e13),
+        ("sla_deadline_s", 3e11),
         ("priority", float("nan")),
         ("priority", float("-inf")),
     ])
     def test_bad_request_terms_reject_batch(self, term, value):
-        """A NaN or infinite deadline used to queue, then raise inside
-        ``advance()`` at the satellite's next capture."""
+        """A NaN, infinite or past-``datetime`` deadline used to queue,
+        then raise inside ``advance()`` at the satellite's next capture."""
         session = SimulationSession(tenant_spec())
         sat = session.simulation.satellites[0].satellite_id
         with pytest.raises(ValueError, match=term):
@@ -130,6 +134,18 @@ class TestIngestSemantics:
         assert session.snapshot()["pending_events"] == 0
         assert "req-ok" not in session._seen_request_ids
         session.run_to_horizon()
+
+    def test_deadline_at_bound_accepted(self):
+        """The longest deadline allowed queues, is stamped on a capture,
+        and the session runs to the horizon."""
+        session = SimulationSession(tenant_spec())
+        sat = session.simulation.satellites[0].satellite_id
+        acks = session.ingest([SubmitRequest(
+            "req-max", "premium", sat, sla_deadline_s=MAX_SLA_DEADLINE_S,
+        )])
+        assert acks[0]["status"] == "queued"
+        session.run_to_horizon()
+        assert not session.simulation.demand.assigner._pending[sat]
 
     def test_ingest_after_advance_applies_at_next_tick(self):
         """Events land at the *next* tick boundary, never retroactively."""
