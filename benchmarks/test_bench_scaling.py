@@ -1,6 +1,6 @@
 """Mega-constellation scaling benchmarks and acceptance gates.
 
-Three contracts at Starlink-class population scale, beyond the paper's
+Two contracts at Starlink-class population scale, beyond the paper's
 259 x 173 scenario:
 
 1. pytest-benchmark timings of the scaling hot paths (candidate
@@ -9,32 +9,25 @@ Three contracts at Starlink-class population scale, beyond the paper's
    2500 x 1000 pair source is checked bit for bit against dense geometry
    in ``tests/scheduling/test_windows_equivalence.py``, and its build
    cost is the ``walker-hour`` ledger workload's ``setup_s``.
-2. A 10k-satellite x 1-hour run (float32 ephemeris, windowed streaming)
-   completes under a bounded peak-RSS budget, measured in a subprocess
-   so the parent's allocations cannot mask a regression.
-3. A 4-worker shared-memory sweep builds each fleet's ephemeris exactly
-   once: every worker trace reports zero cache misses and at least one
-   shared-memory attach.
+2. A 10k-satellite x 1-hour run completes under a bounded peak-RSS
+   budget, measured in a subprocess so the parent's allocations cannot
+   mask a regression.
 
 Like the component benches these are not tier-1 (``testpaths`` excludes
 ``benchmarks/``); the constellation-scaling CI job runs them.
 """
 
-import glob
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
 
-from repro.core.scenarios import ScenarioSpec
 from repro.groundstations.network import satnogs_like_network
 from repro.orbits.constellation import walker_delta
 from repro.orbits.ephemeris import EphemerisTable, clear_ephemeris_cache
-from repro.runners.sweep import SweepCell, SweepRunner
 from repro.satellites.satellite import Satellite
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
@@ -48,12 +41,13 @@ EPOCH = datetime(2020, 6, 1)
 GATE_SATELLITES = 2500
 GATE_STATIONS = 1000
 
-#: Peak-RSS budget for the 10k x 1 h run.  Measured 456 MB (float32
-#: ephemeris, windowed streaming, contact-window index built in bounded
-#: scan chunks and statics blocks), against 890-900 MB when the index
+#: Peak-RSS budget for the 10k x 1 h run.  Measured 450 MB with the
+#: float64 ephemeris table and the contact-window index built in bounded
+#: scan chunks and statics blocks (458 MB when the cell still stored a
+#: float32 table in streamed windows), against 890-900 MB when the index
 #: build held 200k-row scan chunks and whole-index sort and statics
-#: temporaries at once; 750 MB catches a return to that, to dense
-#: per-step matrices or to float64 monolithic tables.
+#: temporaries at once; 750 MB catches a return to that or to dense
+#: per-step matrices.
 RSS_BUDGET_KB = 750 * 1024
 
 
@@ -119,9 +113,9 @@ print(json.dumps({
 def test_walker10000_peak_rss_bounded():
     """10k sats x 1 h completes within the peak-RSS budget.
 
-    Runs the grid's ``walker10000`` cell (float32 ephemeris, windowed
-    streaming) in a fresh interpreter and reads the child's own
-    ``ru_maxrss``, so the measurement reflects exactly that run.
+    Runs the grid's ``walker10000`` cell in a fresh interpreter and
+    reads the child's own ``ru_maxrss``, so the measurement reflects
+    exactly that run.
     """
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -135,39 +129,3 @@ def test_walker10000_peak_rss_bounded():
     print(f"\nwalker10000 peak RSS: {payload['maxrss_kb'] / 1024:.0f} MB "
           f"(budget {RSS_BUDGET_KB / 1024:.0f} MB)")
     assert payload["maxrss_kb"] < RSS_BUDGET_KB
-
-
-def test_shared_memory_sweep_builds_once(tmp_path):
-    """4-worker sweep over one fleet: zero rebuilds, all workers attach.
-
-    The runner exports the fleet's ephemeris to POSIX shared memory once
-    before the pool; each worker's trace must then report the table as a
-    shared-memory hit and never as a build.
-    """
-    base = ScenarioSpec.dgs(
-        constellation="walker", num_satellites=24, num_stations=20,
-        duration_s=600.0, step_s=60.0,
-    )
-    cells = [
-        SweepCell(f"seed{k}", replace(base, weather_seed=k))
-        for k in range(1, 5)
-    ]
-    runner = SweepRunner(
-        cells, run_dir=str(tmp_path), workers=4, trace=True,
-        share_ephemeris=True,
-    )
-    runner.run()
-
-    trace_paths = sorted(glob.glob(str(tmp_path / "traces" / "*.jsonl")))
-    assert len(trace_paths) == len(cells)
-    for path in trace_paths:
-        with open(path) as fh:
-            events = [json.loads(line) for line in fh]
-        cache = [
-            e for e in events
-            if e.get("kind") == "cache" and e.get("name") == "ephemeris"
-        ]
-        assert cache, f"no ephemeris cache event in {path}"
-        for event in cache:
-            assert event["misses"] == 0, f"worker rebuilt ephemeris: {event}"
-            assert event["shm_hits"] >= 1, f"no shared-memory attach: {event}"

@@ -138,8 +138,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             station_fraction=args.fraction,
             num_stations=args.stations,
             constellation=args.constellation,
-            ephemeris_dtype=args.ephemeris_dtype,
-            ephemeris_window_steps=args.ephemeris_window,
             **common,
         )
     sim = spec.build().simulation
@@ -247,13 +245,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     run_dir = args.resume or args.out
     if args.trace and run_dir is None:
         raise ValueError("--trace requires --out DIR (or --resume DIR)")
-    if args.share_ephemeris and args.workers < 1:
-        print("repro sweep: note: --share-ephemeris needs --workers >= 1; "
-              "the serial path already shares in-process", file=sys.stderr)
     runner = SweepRunner(
         cells, run_dir=run_dir, workers=args.workers,
         sweep_seed=args.sweep_seed, trace=args.trace,
-        share_ephemeris=args.share_ephemeris,
     )
     result = runner.run(resume=args.resume is not None)
     mode = f"{args.workers} workers" if args.workers else "in-process"
@@ -404,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constellation", choices=("paper", "walker"),
                    default="paper",
                    help="fleet synthesis: paper EO mix or Walker-delta shell")
-    p.add_argument("--ephemeris-dtype", choices=("float64", "float32"),
-                   default="float64",
-                   help="ephemeris storage precision")
-    p.add_argument("--ephemeris-window", type=int, default=0, metavar="STEPS",
-                   help="stream the ephemeris in windows of STEPS rows "
-                        "(0 = materialize the whole horizon)")
     p.add_argument("--profile-dir", default=None, metavar="DIR",
                    help="cProfile the run span; dump stats under DIR")
     p.add_argument("--json-out", default=None, metavar="PATH",
@@ -448,9 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(finished cells are skipped)")
     p.add_argument("--sweep-seed", type=int, default=None,
                    help="re-derive every cell's RNG seeds from this seed")
-    p.add_argument("--share-ephemeris", action="store_true",
-                   help="publish each fleet's ephemeris once in shared "
-                        "memory; workers map it instead of recomputing")
     p.add_argument("--trace", action="store_true",
                    help="write a per-cell JSONL trace under DIR/traces/")
     p.set_defaults(func=_cmd_sweep)

@@ -44,9 +44,15 @@ PAPER_SATELLITES = 259
 PAPER_STATIONS = 173
 PAPER_EPOCH = datetime(2020, 6, 1)
 
-#: Spec keys retired with the graph-build paths they selected, at the
-#: only value they can take now; hashed into every spec's identity.
-_RETIRED_IDENTITY = {"spatial_culling": True, "contact_windows": True}
+#: Spec keys retired with the graph-build and ephemeris-storage paths
+#: they selected, at the only value they can take now; hashed into every
+#: spec's identity.
+_RETIRED_IDENTITY = {
+    "spatial_culling": True,
+    "contact_windows": True,
+    "ephemeris_dtype": "float64",
+    "ephemeris_window_steps": 0,
+}
 
 
 def _auto_walker_planes(total_satellites: int) -> int:
@@ -236,10 +242,6 @@ class ScenarioSpec:
     walker_phasing: int = 1
     walker_inclination_deg: float = 53.0
     walker_altitude_km: float = 550.0
-    #: Scaling knobs, forwarded to :class:`SimulationConfig`: ephemeris
-    #: storage dtype and windowed ephemeris streaming (0 = monolithic).
-    ephemeris_dtype: str = "float64"
-    ephemeris_window_steps: int = 0
     #: Multi-tenant demand: a tuple of :class:`repro.demand.Tenant` (or
     #: their dicts, normalized on construction).  None = the legacy
     #: uniform single-tenant stream, bit-identical to builds without the
@@ -290,13 +292,6 @@ class ScenarioSpec:
             raise ValueError(f"unknown constellation {self.constellation!r}")
         if self.walker_planes < 0:
             raise ValueError("walker_planes must be >= 0 (0 = auto)")
-        if self.ephemeris_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"ephemeris_dtype must be 'float64' or 'float32', "
-                f"got {self.ephemeris_dtype!r}"
-            )
-        if self.ephemeris_window_steps < 0:
-            raise ValueError("ephemeris_window_steps must be >= 0")
         if self.requests_per_day < 1:
             raise ValueError("requests_per_day must be >= 1")
         if self.tenants is not None:
@@ -390,11 +385,11 @@ class ScenarioSpec:
     def _identity(self) -> dict:
         """The hashed identity: :meth:`to_dict` plus the retired keys.
 
-        ``spatial_culling`` and ``contact_windows`` picked between
-        graph-build paths with identical output and were retired; they
-        stay in the hash at their only remaining value, so the config
-        hash and derived seeds do not move.  Older checkpoints re-run:
-        their stored spec dicts still carry the two keys.
+        The keys of ``_RETIRED_IDENTITY`` picked between graph-build
+        paths with identical output or between ephemeris storage forms,
+        and were retired; they stay in the hash at their only remaining
+        value, so the config hash and derived seeds do not move.  Older
+        checkpoints re-run: their stored spec dicts still carry the keys.
         """
         return {**self.to_dict(), **_RETIRED_IDENTITY}
 
@@ -438,19 +433,6 @@ class ScenarioSpec:
         )
 
     # -- assembly -----------------------------------------------------------
-
-    def fleet_identity(self) -> tuple:
-        """The fields that determine the fleet's TLE set.
-
-        Two specs with equal identities build orbit-identical fleets (and
-        therefore share one ephemeris table); the sweep runner's
-        shared-memory export groups cells by this.
-        """
-        return (
-            self.constellation, self.num_satellites, self.fleet_seed,
-            self.walker_planes, self.walker_phasing,
-            self.walker_inclination_deg, self.walker_altitude_km,
-        )
 
     def build_fleet(self) -> list[Satellite]:
         """Synthesize the satellite fleet alone (no network/simulation)."""
@@ -516,8 +498,6 @@ class ScenarioSpec:
             execution_mode=self.execution_mode,
             diversity_receivers=self.diversity_receivers,
             diversity_seed=self.diversity_seed,
-            ephemeris_dtype=self.ephemeris_dtype,
-            ephemeris_window_steps=self.ephemeris_window_steps,
         )
         observability = self.observability
         if observability is not None and not observability.seeds:

@@ -42,10 +42,7 @@ from repro.orbits.timebase import datetime_to_jd, gmst_rad
 __all__ = [
     "BatchSGP4",
     "EphemerisTable",
-    "StreamingEphemerisTable",
-    "attach_shared_tables",
     "clear_ephemeris_cache",
-    "export_shared_table",
     "shared_ephemeris_table",
 ]
 
@@ -55,18 +52,13 @@ __all__ = [
 #: element set.
 _FALLBACK_TOLERANCE_KM = 1e-3
 
-#: float32 storage rounds positions by up to ~1 m at LEO radii, so the
-#: fallback comparison needs commensurate slack -- anything below it is
-#: storage rounding, not an exotic element set.
-_FALLBACK_TOLERANCE_F32_KM = 5e-2
-
 #: Grid-alignment slack when mapping a datetime onto a table row.
 _GRID_TOLERANCE_S = 1e-6
 
-
-def _fallback_tolerance_km(dtype: np.dtype) -> float:
-    return (_FALLBACK_TOLERANCE_F32_KM if np.dtype(dtype) == np.float32
-            else _FALLBACK_TOLERANCE_KM)
+#: Build-chunk bound: grid steps propagated per vectorized pass.  It
+#: caps the temporaries the batch propagation allocates; no value
+#: changes a stored position.
+_BUILD_CHUNK_STEPS = 128
 
 
 def _fallback_satellites(row0: np.ndarray, propagators: Sequence[SGP4],
@@ -83,9 +75,7 @@ def _fallback_satellites(row0: np.ndarray, propagators: Sequence[SGP4],
         np.array([gmst_rad(datetime_to_jd(start))]),
     )[0]
     distance_km = np.linalg.norm(row0 - scalar_ecef, axis=1)
-    return np.flatnonzero(
-        distance_km > _fallback_tolerance_km(row0.dtype)
-    ).tolist()
+    return np.flatnonzero(distance_km > _FALLBACK_TOLERANCE_KM).tolist()
 
 
 class BatchSGP4:
@@ -297,12 +287,7 @@ class EphemerisTable:
                  positions_ecef: np.ndarray):
         if step_s <= 0:
             raise ValueError("step must be positive")
-        # Preserve float32 storage (and shared-memory buffer views -- no
-        # copy when the dtype already matches); everything else normalizes
-        # to float64 as before.
-        positions_ecef = np.asarray(positions_ecef)
-        if positions_ecef.dtype != np.float32:
-            positions_ecef = np.asarray(positions_ecef, dtype=float)
+        positions_ecef = np.asarray(positions_ecef, dtype=float)
         if positions_ecef.ndim != 3 or positions_ecef.shape[-1] != 3:
             raise ValueError(
                 f"positions must have shape (num_steps, M, 3), "
@@ -318,23 +303,20 @@ class EphemerisTable:
 
     @classmethod
     def build(cls, satellites: Sequence, start: datetime, num_steps: int,
-              step_s: float, chunk_steps: int = 128,
-              dtype: str = "float64") -> "EphemerisTable":
+              step_s: float) -> "EphemerisTable":
         """Batch-propagate a fleet over the grid and rotate into ECEF.
 
         ``satellites`` is anything carrying a ``tle`` (a
         :class:`repro.satellites.satellite.Satellite` or a bare propagator
-        wrapper).  ``chunk_steps`` bounds the size of the temporaries the
-        vectorized propagation allocates.  ``dtype="float32"`` halves the
-        stored table (propagation still runs in float64; only storage is
-        rounded -- sub-metre at LEO radii).
+        wrapper).  Steps are propagated :data:`_BUILD_CHUNK_STEPS` at a
+        time.
         """
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
         propagators = [_propagator_of(sat) for sat in satellites]
         batch = BatchSGP4(propagators)
         m = batch.num_satellites
-        positions = np.empty((num_steps, m, 3), dtype=np.dtype(dtype))
+        positions = np.empty((num_steps, m, 3))
         if m == 0:
             return cls(start, step_s, positions)
 
@@ -346,8 +328,8 @@ class EphemerisTable:
         )
         step_min = step_s / 60.0
         jd0 = datetime_to_jd(start)
-        for lo in range(0, num_steps, chunk_steps):
-            hi = min(lo + chunk_steps, num_steps)
+        for lo in range(0, num_steps, _BUILD_CHUNK_STEPS):
+            hi = min(lo + _BUILD_CHUNK_STEPS, num_steps)
             k = np.arange(lo, hi, dtype=float)
             tsince = epoch_offset_min[None, :] + k[:, None] * step_min
             teme, _vel = batch.propagate_tsince(tsince)
@@ -424,147 +406,11 @@ class EphemerisTable:
             return cls(start, float(data["step_s"][0]), data["positions"])
 
 
-class StreamingEphemerisTable:
-    """Window-on-demand ephemeris with the :class:`EphemerisTable` lookup API.
-
-    A 10k-satellite day at minute cadence is 1440 x 10000 x 3 float64 --
-    ~350 MB of positions, most of which the minute-by-minute scheduling
-    loop never holds live at once.  This table materializes only
-    ``window_steps``-row windows, built lazily as lookups walk the grid,
-    keeping at most ``max_resident`` windows in memory (two, so the
-    planned-mode lookahead that reads slightly ahead of the live cursor
-    does not thrash).
-
-    Rows are bit-identical to the monolithic :meth:`EphemerisTable.build`
-    output: windows are computed with the *global* grid arithmetic
-    (absolute row indices against the global start, the same expressions
-    the monolithic chunk loop evaluates), and the scalar-fallback decision
-    is made once from global row 0, exactly as the monolithic build does.
-    """
-
-    def __init__(self, satellites: Sequence, start: datetime,
-                 num_steps: int, step_s: float, window_steps: int = 512,
-                 dtype: str = "float64", max_resident: int = 2,
-                 recorder=None):
-        if num_steps <= 0:
-            raise ValueError("num_steps must be positive")
-        if step_s <= 0:
-            raise ValueError("step must be positive")
-        if window_steps <= 0:
-            raise ValueError("window_steps must be positive")
-        if max_resident <= 0:
-            raise ValueError("max_resident must be positive")
-        self.start = start
-        self.step_s = float(step_s)
-        self.num_steps = int(num_steps)
-        self.window_steps = int(window_steps)
-        self.dtype = np.dtype(dtype)
-        self.max_resident = int(max_resident)
-        self._recorder = recorder
-        self._propagators = [_propagator_of(sat) for sat in satellites]
-        self._batch = BatchSGP4(self._propagators)
-        self.num_satellites = self._batch.num_satellites
-        self._windows: dict[int, np.ndarray] = {}
-        self._lru: list[int] = []
-        self.window_builds = 0
-        self._epoch_offset_min = np.array(
-            [
-                (start - p.tle.epoch).total_seconds() / 60.0
-                for p in self._propagators
-            ]
-        )
-        self._jd0 = datetime_to_jd(start)
-        # Flag exotic element sets once, from global row 0 -- the same
-        # comparison (and therefore the same flags) as the monolithic
-        # build, so fallback columns match too.
-        self._fallback_sats: list[int] = []
-        if self.num_satellites:
-            self._fallback_sats = _fallback_satellites(
-                self._compute_rows(0, 1, fallback=False)[0],
-                self._propagators, start,
-            )
-
-    def _compute_rows(self, lo: int, hi: int,
-                      fallback: bool = True) -> np.ndarray:
-        """Rows ``[lo, hi)`` of the global grid, in storage dtype."""
-        k = np.arange(lo, hi, dtype=float)
-        step_min = self.step_s / 60.0
-        tsince = self._epoch_offset_min[None, :] + k[:, None] * step_min
-        teme, _vel = self._batch.propagate_tsince(tsince)
-        theta = np.array(
-            [gmst_rad(self._jd0 + kk * self.step_s / 86400.0) for kk in k]
-        )
-        rows = np.empty((hi - lo, self.num_satellites, 3), dtype=self.dtype)
-        rows[:] = _rotate_teme_to_ecef(teme, theta)
-        if fallback:
-            for i in self._fallback_sats:
-                for kk in range(lo, hi):
-                    when = self.start + timedelta(seconds=kk * self.step_s)
-                    pos, _ = self._propagators[i].propagate(when)
-                    theta1 = gmst_rad(datetime_to_jd(when))
-                    rows[kk - lo, i] = _rotate_teme_to_ecef(
-                        pos[None, None, :], np.array([theta1])
-                    )[0, 0]
-        return rows
-
-    def _window(self, w: int) -> np.ndarray:
-        rows = self._windows.get(w)
-        if rows is not None:
-            self._lru.remove(w)
-            self._lru.append(w)
-            return rows
-        lo = w * self.window_steps
-        hi = min(lo + self.window_steps, self.num_steps)
-        rows = self._compute_rows(lo, hi)
-        self._windows[w] = rows
-        self._lru.append(w)
-        self.window_builds += 1
-        if self._recorder is not None:
-            self._recorder.counter("ephemeris_stream/window_builds")
-        while len(self._lru) > self.max_resident:
-            evicted = self._lru.pop(0)
-            del self._windows[evicted]
-        return rows
-
-    # -- lookup (EphemerisTable interface) -------------------------------
-
-    def index_of(self, when: datetime) -> int | None:
-        offset_s = (when - self.start).total_seconds()
-        k = offset_s / self.step_s
-        nearest = round(k)
-        if abs(offset_s - nearest * self.step_s) > _GRID_TOLERANCE_S:
-            return None
-        if not 0 <= nearest < self.num_steps:
-            return None
-        return int(nearest)
-
-    def positions_ecef(self, when: datetime) -> np.ndarray | None:
-        index = self.index_of(when)
-        if index is None:
-            return None
-        w = index // self.window_steps
-        return self._window(w)[index - w * self.window_steps]
-
-    def covers(self, start: datetime, num_steps: int, step_s: float) -> bool:
-        if abs(step_s - self.step_s) > 1e-9:
-            return False
-        if abs((start - self.start).total_seconds()) > _GRID_TOLERANCE_S:
-            return False
-        return num_steps <= self.num_steps
-
-
 # --------------------------------------------------------------------------
 # Shared keyed cache: one propagation per (fleet, grid) per process.
 # --------------------------------------------------------------------------
 
 _TABLE_CACHE: dict[tuple, EphemerisTable] = {}
-
-#: Shared-memory ephemeris handles published by a parent process (sweep
-#: runner): cache-key digest -> (shm_name, shape, dtype, start_iso,
-#: step_s).  Workers consult it on cache miss and map the parent's table
-#: instead of rebuilding.  Survives :func:`clear_ephemeris_cache` -- the
-#: registry describes tables owned by the parent, not this process.
-_SHM_REGISTRY: dict[str, tuple] = {}
 
 
 def _propagator_of(sat) -> SGP4:
@@ -598,18 +444,6 @@ def _fleet_key(satellites: Sequence) -> tuple:
     return tuple(_elements_of(_propagator_of(sat).tle) for sat in satellites)
 
 
-def _table_key(satellites: Sequence, start: datetime, step_s: float,
-               dtype: str) -> tuple:
-    return (
-        _fleet_key(satellites), start.isoformat(),
-        round(float(step_s), 9), str(np.dtype(dtype)),
-    )
-
-
-def _key_digest(key: tuple) -> str:
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-
-
 def shared_ephemeris_table(
     satellites: Sequence,
     start: datetime,
@@ -617,44 +451,29 @@ def shared_ephemeris_table(
     step_s: float,
     cache_dir: str | None = None,
     recorder=None,
-    dtype: str = "float64",
 ) -> EphemerisTable:
     """Fetch (or build) the fleet's position grid from the shared cache.
 
-    Tables are keyed by (exact TLE elements, start, step, dtype); a
-    cached table with at least ``num_steps`` rows serves any shorter
-    request, so fig3a/3b/3c and every ablation over the same horizon
-    share one propagation.  With ``cache_dir`` (or
-    ``$REPRO_EPHEMERIS_CACHE``) set, tables also persist to disk and
-    survive across processes.  When the parent process
-    published a shared-memory table for this key
-    (:func:`export_shared_table` / :func:`attach_shared_tables`), a cache
-    miss maps that table instead of rebuilding -- zero-copy, one
-    propagation for the whole worker pool.  ``recorder`` (a
-    :class:`repro.obs.Recorder`) receives hit/miss counters
-    (``ephemeris_cache/memory_hit`` / ``shm_hit`` / ``disk_hit`` /
+    Tables are keyed by (exact TLE elements, start, step); a cached
+    table with at least ``num_steps`` rows serves any shorter request,
+    so fig3a/3b/3c and every ablation over the same horizon share one
+    propagation.  With ``cache_dir`` (or ``$REPRO_EPHEMERIS_CACHE``)
+    set, tables also persist to disk and survive across processes.
+    ``recorder`` (a :class:`repro.obs.Recorder`) receives hit/miss
+    counters (``ephemeris_cache/memory_hit`` / ``disk_hit`` /
     ``build``).
     """
-    key = _table_key(satellites, start, step_s, dtype)
+    key = (_fleet_key(satellites), start.isoformat(), round(float(step_s), 9))
     cached = _TABLE_CACHE.get(key)
     if cached is not None and cached.covers(start, num_steps, step_s):
         if recorder is not None:
             recorder.counter("ephemeris_cache/memory_hit")
         return cached
 
-    digest = _key_digest(key)
-    handle = _SHM_REGISTRY.get(digest)
-    if handle is not None:
-        table = _attach_shm_table(handle)
-        if table is not None and table.covers(start, num_steps, step_s):
-            _TABLE_CACHE[key] = table
-            if recorder is not None:
-                recorder.counter("ephemeris_cache/shm_hit")
-            return table
-
     cache_dir = cache_dir or os.environ.get("REPRO_EPHEMERIS_CACHE")
     disk_path = None
     if cache_dir:
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
         disk_path = os.path.join(cache_dir, f"ephemeris_{digest}.npz")
         if os.path.exists(disk_path):
             try:
@@ -668,88 +487,13 @@ def shared_ephemeris_table(
                     recorder.counter("ephemeris_cache/disk_hit")
                 return table
 
-    table = EphemerisTable.build(satellites, start, num_steps, step_s,
-                                 dtype=dtype)
+    table = EphemerisTable.build(satellites, start, num_steps, step_s)
     _TABLE_CACHE[key] = table
     if recorder is not None:
         recorder.counter("ephemeris_cache/build")
     if disk_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
         _atomic_save(table, disk_path, cache_dir)
-    return table
-
-
-# --------------------------------------------------------------------------
-# Shared-memory tables: one propagation for a whole worker pool.
-# --------------------------------------------------------------------------
-
-
-def export_shared_table(
-    satellites: Sequence,
-    start: datetime,
-    num_steps: int,
-    step_s: float,
-    dtype: str = "float64",
-) -> tuple[str, tuple, object]:
-    """Build a table and publish it in POSIX shared memory.
-
-    For the parent of a worker pool: returns ``(digest, handle, shm)``
-    where ``handle`` is the picklable descriptor workers pass to
-    :func:`attach_shared_tables` and ``shm`` is the owning
-    ``SharedMemory`` block the parent must ``close()`` + ``unlink()``
-    after the pool finishes.  The build deliberately bypasses this
-    process's ``_TABLE_CACHE`` so forked workers cannot inherit a private
-    copy and silently skip the shared path.
-    """
-    from multiprocessing import shared_memory
-
-    table = EphemerisTable.build(satellites, start, num_steps, step_s,
-                                 dtype=dtype)
-    shm = shared_memory.SharedMemory(create=True,
-                                     size=table.positions.nbytes)
-    view = np.ndarray(table.positions.shape, dtype=table.positions.dtype,
-                      buffer=shm.buf)
-    view[:] = table.positions
-    key = _table_key(satellites, start, step_s, dtype)
-    handle = (
-        shm.name, table.positions.shape, str(table.positions.dtype),
-        start.isoformat(), float(step_s),
-    )
-    return _key_digest(key), handle, shm
-
-
-def attach_shared_tables(handles: dict[str, tuple]) -> None:
-    """Register parent-published shared-memory table handles.
-
-    Called in worker processes before any simulation runs; subsequent
-    :func:`shared_ephemeris_table` misses for a registered key map the
-    parent's block instead of rebuilding.
-    """
-    _SHM_REGISTRY.update(handles)
-
-
-def _attach_shm_table(handle: tuple) -> EphemerisTable | None:
-    """Map a parent-published block as an :class:`EphemerisTable`."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    name, shape, dtype_str, start_iso, step_s = handle
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return None
-    # The attach re-registered the block with this process's resource
-    # tracker (fixed by track=False only in newer Pythons); unregister so
-    # the parent, which owns the block, performs the single unlink.
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    positions = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str),
-                           buffer=shm.buf)
-    table = EphemerisTable(datetime.fromisoformat(start_iso),
-                           float(step_s), positions)
-    # Keep the mapping alive for the table's lifetime.
-    table._shm = shm
     return table
 
 

@@ -93,25 +93,18 @@ def constellation_scaling_grid(duration_s: float = 3600.0,
     """Mega-constellation scaling cells: Walker shells at 2.5k and 10k.
 
     Short-horizon (default one hour) runs of deterministic Walker-delta
-    shells against the full paper network, with float32 ephemeris storage
-    -- the scaling regime the spatial-culling and sparse-graph machinery
-    targets.  ``scale`` multiplies the shell sizes (CI smoke uses
-    ``scale=1`` with the 2.5k cell only; see the bench baselines).  The
-    10k cell streams its ephemeris in windows to bound peak memory.
+    shells against the full paper network -- the scaling regime the
+    spatial-culling and sparse-graph machinery targets.  ``scale``
+    multiplies the shell sizes (CI smoke uses ``scale=1`` with the 2.5k
+    cell only; see the bench baselines).
     """
-    shells = [
-        ("walker2500", 2500, 0),
-        ("walker10000", 10000, 360),
-    ]
     cells = []
-    for label, sats, window in shells:
+    for label, sats in (("walker2500", 2500), ("walker10000", 10000)):
         count = max(4, int(round(sats * scale)))
         spec = ScenarioSpec.dgs(
             constellation="walker",
             num_satellites=count,
             duration_s=duration_s,
-            ephemeris_dtype="float32",
-            ephemeris_window_steps=window,
         )
         cells.append(SweepCell(label, spec))
     return cells

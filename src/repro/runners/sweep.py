@@ -83,62 +83,6 @@ class SweepCell:
         return float(spec.num_satellites) * stations * graphs
 
 
-def _export_shared_ephemeris(
-    cells: list[SweepCell],
-) -> tuple[dict[str, tuple], list]:
-    """Build each pending fleet's ephemeris once; publish via shared memory.
-
-    Groups cells by :meth:`ScenarioSpec.fleet_identity` so orbit-identical
-    fleets share one propagation, sizes each table to the longest horizon
-    any sharing cell needs (a longer table serves every shorter request),
-    and returns ``(handles, blocks)``: the picklable descriptors workers
-    attach, and the owning ``SharedMemory`` blocks the parent must close
-    and unlink after the pool finishes.  Streaming cells
-    (``ephemeris_window_steps > 0``) opt out -- their point is *not*
-    materializing the table.
-    """
-    from repro.core.scenarios import PAPER_EPOCH
-    from repro.orbits.ephemeris import (
-        _key_digest,
-        _table_key,
-        export_shared_table,
-    )
-    from repro.simulation.config import SimulationConfig
-
-    fleets: dict[tuple, list] = {}
-    wanted: dict[str, list] = {}
-    for cell in cells:
-        spec = cell.spec
-        if spec.ephemeris_window_steps > 0:
-            continue
-        steps = max(1, int(spec.duration_s // spec.step_s))
-        if spec.execution_mode == "planned":
-            steps += int(SimulationConfig.plan_horizon_s // spec.step_s) + 1
-        fleet = fleets.get(spec.fleet_identity())
-        if fleet is None:
-            fleet = spec.build_fleet()
-            fleets[spec.fleet_identity()] = fleet
-        key = _table_key(
-            fleet, PAPER_EPOCH, spec.step_s, spec.ephemeris_dtype
-        )
-        digest = _key_digest(key)
-        entry = wanted.get(digest)
-        if entry is None or steps > entry[2]:
-            wanted[digest] = [
-                fleet, PAPER_EPOCH, steps, spec.step_s,
-                spec.ephemeris_dtype,
-            ]
-    handles: dict[str, tuple] = {}
-    blocks: list = []
-    for fleet, start, steps, step_s, dtype in wanted.values():
-        digest, handle, shm = export_shared_table(
-            fleet, start, steps, step_s, dtype=dtype
-        )
-        handles[digest] = handle
-        blocks.append(shm)
-    return handles, blocks
-
-
 def shard_cells(cells: list[SweepCell],
                 workers: int) -> list[list[SweepCell]]:
     """Partition cells across ``workers`` shards, deterministically.
@@ -255,7 +199,7 @@ class SweepRunner:
 
     def __init__(self, cells: list[SweepCell], *, run_dir: str | None = None,
                  workers: int = 0, sweep_seed: int | None = None,
-                 trace: bool = False, share_ephemeris: bool = False):
+                 trace: bool = False):
         if sweep_seed is not None:
             cells = [
                 replace(cell, spec=cell.spec.derive_seeds(sweep_seed))
@@ -282,11 +226,6 @@ class SweepRunner:
         self.run_dir = run_dir
         self.workers = int(workers)
         self.trace = trace
-        #: Publish each pending fleet's ephemeris once, in POSIX shared
-        #: memory, before launching the pool -- workers map the parent's
-        #: table instead of propagating per process.  Parallel runs only
-        #: (the serial path already shares via the in-process cache).
-        self.share_ephemeris = share_ephemeris
 
     # -- execution ----------------------------------------------------------
 
@@ -313,10 +252,6 @@ class SweepRunner:
         )
         shard_hashes: list[list[str]] = []
         if pending and self.workers >= 1:
-            shm_handles: dict[str, tuple] = {}
-            shm_blocks: list = []
-            if self.share_ephemeris:
-                shm_handles, shm_blocks = _export_shared_ephemeris(pending)
             shards = shard_cells(pending, self.workers)
             shard_hashes = [
                 [cell.config_sha256() for cell in shard] for shard in shards
@@ -327,21 +262,12 @@ class SweepRunner:
                     [(cell.label, cell.spec.to_dict()) for cell in shard],
                     self.run_dir,
                     trace_dir,
-                    shm_handles,
                 )
                 for index, shard in enumerate(shards)
             ]
-            try:
-                with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                    for entries in pool.map(run_shard, shard_args):
-                        done.extend(entries)
-            finally:
-                for shm in shm_blocks:
-                    try:
-                        shm.close()
-                        shm.unlink()
-                    except (FileNotFoundError, OSError):
-                        pass
+            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+                for entries in pool.map(run_shard, shard_args):
+                    done.extend(entries)
         elif pending:
             # Serial reference path: one in-process "shard" in merge order.
             ordered = sorted(pending, key=lambda c: c.config_sha256())

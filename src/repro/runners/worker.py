@@ -56,21 +56,14 @@ def run_cell(label: str, spec: ScenarioSpec,
 
 
 def run_shard(args: tuple) -> list[dict]:
-    """Run one shard: ``(index, [(label, spec_dict)], run_dir, trace_dir)``
-    with an optional fifth element of shared-memory ephemeris handles.
+    """Run one shard: ``(index, [(label, spec_dict)], run_dir, trace_dir)``.
 
     Returns the finished entries; when ``run_dir`` is set each entry is
-    also checkpointed as it completes.  Registered ephemeris handles make
-    every cell map the parent's one table instead of propagating locally
-    (``ephemeris_cache/shm_hit`` instead of ``build`` in the counters).
+    also checkpointed as it completes.
     """
     from repro.runners.sweep import write_checkpoint
 
-    shard_index, cell_dicts, run_dir, trace_dir, *rest = args
-    if rest and rest[0]:
-        from repro.orbits.ephemeris import attach_shared_tables
-
-        attach_shared_tables(rest[0])
+    shard_index, cell_dicts, run_dir, trace_dir = args
     entries: list[dict] = []
     for label, spec_dict in cell_dicts:
         spec = ScenarioSpec.from_dict(spec_dict)

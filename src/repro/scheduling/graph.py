@@ -27,6 +27,7 @@ matrix live on only as the test oracle (``tests/oracle.py``).
 from __future__ import annotations
 
 import math
+import time
 from datetime import datetime
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -300,7 +301,7 @@ def _visible_rows(
     zenith component as ``(x*ux + z*uz) + y*uy`` (``np.einsum``'s paired
     SIMD lanes).  Only the visible rows are materialized.
     """
-    # Promote before any in-place arithmetic: a float32 ephemeris row
+    # Promote before any in-place arithmetic: a float32 positions array
     # would otherwise round each difference to float32.
     columns = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
     x, y, z = (_take(columns[c], sat_idx) for c in range(3))
@@ -620,7 +621,10 @@ def _price_pairs(
     ``weather_memo`` substitutes a per-station sample memo for the
     involved-station oracle loop; it issues the identical first call per
     provider quantization bucket, so the returned values (and the
-    provider's cache contents) are bit-identical to the loop's.
+    provider's cache contents) are bit-identical to the loop's.  With
+    ``recorder`` enabled the weather block is timed as one
+    ``weather_sampling`` interval per build and its provider calls are
+    counted as ``weather_samples``.
     """
     pair_sat, pair_gs, pair_elevation, pair_range = pairs
     sat_idx = pair_sat if rows is None else pair_sat[rows]
@@ -635,26 +639,35 @@ def _price_pairs(
     # Involved stations via a bincount-style flag pass: gs_idx is bounded
     # by the (small) station count, so this avoids sorting the pair list.
     # An identically-clear provider skips the oracle loop: every sample
-    # would be exactly zero.
+    # would be exactly zero.  An observed build times the whole block once
+    # and counts its provider calls; the calls themselves are the same.
+    timed = recorder is not None and recorder.enabled
+    if timed:
+        started = time.perf_counter()
     if getattr(forecast, "always_clear", False):
         rain = np.zeros(num_stations)
         cloud = np.zeros(num_stations)
+        samples = 0
     elif weather_memo is not None:
-        rain, cloud = weather_memo.station_weather(
-            network, forecast, gs_idx, when
-        )
+        rain, cloud, samples = weather_memo.station_weather(gs_idx, when)
     else:
         rain = np.zeros(num_stations)
         cloud = np.zeros(num_stations)
         involved = np.zeros(num_stations, dtype=bool)
         involved[gs_idx] = True
-        for j in np.flatnonzero(involved).tolist():
+        stations = np.flatnonzero(involved).tolist()
+        for j in stations:
             station = network[j]
             sample = forecast(
                 station.latitude_deg, station.longitude_deg, when
             )
             rain[j] = sample.rain_rate_mm_h
             cloud[j] = sample.cloud_water_kg_m2
+        samples = len(stations)
+    if timed:
+        recorder.add_time("weather_sampling", time.perf_counter() - started)
+        if samples:
+            recorder.counter("weather_samples", samples)
 
     # Demand first: only a satellite with queued data can carry an edge.
     # Counts are read after the refresh (a row is only as fresh as the

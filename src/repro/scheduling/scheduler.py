@@ -176,7 +176,7 @@ class _StationWeatherMemo:
     sample per (station, bucket) no matter how many times it is asked, so
     the per-step oracle loop mostly re-reads values it already has.  This
     memo keeps the last sample per station with a bucket stamp and only
-    calls the oracle for stations whose stamp is stale -- issuing exactly
+    calls the provider for stations whose stamp is stale -- issuing exactly
     the first call per (station, bucket) the unmemoized loop would have
     issued, so the provider's cache contents (which capture the first
     ``when`` seen per bucket) and every value consumed downstream are
@@ -184,26 +184,27 @@ class _StationWeatherMemo:
     that publishes ``quantize_s``; the scheduler enables it accordingly.
     """
 
-    def __init__(self, num_stations: int, quantize_s: float):
-        self.quantize_s = float(quantize_s)
+    def __init__(self, network, provider):
+        self.quantize_s = float(provider.quantize_s)
+        num_stations = len(network)
         self._bucket = np.full(num_stations, -1, dtype=np.int64)
         self._rain = np.zeros(num_stations)
         self._cloud = np.zeros(num_stations)
-        self._coords: list[tuple[float, float, float, float]] | None = None
-        #: Optional direct oracle (e.g. the provider's bound ``sample``):
-        #: the scheduler installs it when no instrumentation wrapper is
-        #: needed, saving one closure frame and two ``hasattr`` probes
-        #: per miss.  Must make the identical underlying call the
-        #: ``forecast`` argument would.
-        self.oracle = None
-        #: The provider itself, when it exposes ``sample_prequantized``
-        #: and no instrumentation wrapper is in play: station coordinates
-        #: never change, so their cache-key rounding runs once here
-        #: instead of twice per sample.
-        self.provider = None
+        self._coords = [
+            (round(s.latitude_deg, 3), round(s.longitude_deg, 3),
+             s.latitude_deg, s.longitude_deg)
+            for s in network
+        ]
+        #: The provider call, fixed once: ``sample_prequantized`` when
+        #: the provider has it (station coordinates never change, so
+        #: their cache-key rounding runs once, above, instead of twice
+        #: per sample), its ``sample`` otherwise.
+        self._sample_pq = getattr(provider, "sample_prequantized", None)
+        self._sample = provider.sample
 
-    def station_weather(self, network, forecast, gs_idx, when):
-        """Full per-station (rain, cloud) arrays, fresh for ``gs_idx``.
+    def station_weather(self, gs_idx, when):
+        """Per-station (rain, cloud) arrays, fresh for ``gs_idx``, and
+        the number of provider calls made.
 
         Entries for stations outside ``gs_idx`` may be stale; callers
         only ever gather the involved stations.
@@ -211,34 +212,28 @@ class _StationWeatherMemo:
         bucket = int(when.timestamp() // self.quantize_s)
         involved = np.zeros(self._bucket.size, dtype=bool)
         involved[gs_idx] = True
-        stale = involved & (self._bucket != bucket)
-        if self._coords is None:
-            self._coords = [
-                (round(s.latitude_deg, 3), round(s.longitude_deg, 3),
-                 s.latitude_deg, s.longitude_deg)
-                for s in network
-            ]
+        stale = np.flatnonzero(involved & (self._bucket != bucket)).tolist()
         rain_out = self._rain
         cloud_out = self._cloud
         bucket_out = self._bucket
-        provider = self.provider
-        if provider is not None:
-            sample_pq = provider.sample_prequantized
-            for j in np.flatnonzero(stale).tolist():
-                lat_q, lon_q, lat, lon = self._coords[j]
+        coords = self._coords
+        sample_pq = self._sample_pq
+        if sample_pq is not None:
+            for j in stale:
+                lat_q, lon_q, lat, lon = coords[j]
                 sample = sample_pq(lat_q, lon_q, lat, lon, when)
                 rain_out[j] = sample.rain_rate_mm_h
                 cloud_out[j] = sample.cloud_water_kg_m2
                 bucket_out[j] = bucket
-            return rain_out, cloud_out
-        oracle = self.oracle if self.oracle is not None else forecast
-        for j in np.flatnonzero(stale).tolist():
-            lat_q, lon_q, lat, lon = self._coords[j]
-            sample = oracle(lat, lon, when)
+            return rain_out, cloud_out, len(stale)
+        sample_fn = self._sample
+        for j in stale:
+            lat_q, lon_q, lat, lon = coords[j]
+            sample = sample_fn(lat, lon, when)
             rain_out[j] = sample.rain_rate_mm_h
             cloud_out[j] = sample.cloud_water_kg_m2
             bucket_out[j] = bucket
-        return rain_out, cloud_out
+        return rain_out, cloud_out, len(stale)
 
 
 class DownlinkScheduler:
@@ -363,23 +358,6 @@ class DownlinkScheduler:
                 return provider.sample(lat, lon, valid_at)
             return provider.forecast(lat, lon, valid_at, valid_at)
 
-        if self.recorder.enabled:
-            # Account weather-oracle time separately: it runs inside the
-            # graph-build span but is a distinct stage of the taxonomy.
-            import time as _time
-
-            inner_fn = forecast_fn
-
-            def forecast_fn(lat: float, lon: float, valid_at: datetime):
-                t0 = _time.perf_counter()
-                try:
-                    return inner_fn(lat, lon, valid_at)
-                finally:
-                    self.recorder.add_time(
-                        "weather_sampling", _time.perf_counter() - t0
-                    )
-                    self.recorder.counter("weather_samples")
-
         # A provider that is identically clear lets the pricing kernel
         # skip the per-station weather oracle loop outright.
         forecast_fn.always_clear = getattr(self.weather, "always_clear", False)
@@ -394,23 +372,13 @@ class DownlinkScheduler:
             and forecast_issued_at is None
             and not forecast_fn.always_clear
         ):
-            quantize_s = getattr(self.weather, "quantize_s", None)
-            if quantize_s:
-                if self._weather_memo is None:
-                    self._weather_memo = _StationWeatherMemo(
-                        len(self.network), quantize_s
-                    )
-                weather_memo = self._weather_memo
-                # With no instrumentation wrapper in play the memo may
-                # call the provider directly -- same call, fewer frames.
-                direct = not self.recorder.enabled
-                weather_memo.oracle = self.weather.sample if direct else None
-                weather_memo.provider = (
-                    self.weather
-                    if direct
-                    and hasattr(self.weather, "sample_prequantized")
-                    else None
+            if self._weather_memo is None and getattr(
+                self.weather, "quantize_s", None
+            ):
+                self._weather_memo = _StationWeatherMemo(
+                    self.network, self.weather
                 )
+            weather_memo = self._weather_memo
 
         return build_contact_graph(
             satellites=self.satellites,

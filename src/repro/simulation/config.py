@@ -66,15 +66,6 @@ class SimulationConfig:
     #: Seed for the deterministic per-(satellite, station, time) decode
     #: draws in :class:`repro.network.diversity.DiversityCombiner`.
     diversity_seed: int = 19
-    #: Ephemeris storage dtype: ``"float64"`` (exact) or ``"float32"``
-    #: (half the memory; sub-meter position rounding at LEO radii, below
-    #: the link model's sensitivity but not bit-identical to float64).
-    ephemeris_dtype: str = "float64"
-    #: Stream the ephemeris in windows of this many steps instead of
-    #: materializing the whole horizon (0 = materialize everything).
-    #: Bounds peak memory at mega-constellation scale; rows are
-    #: bit-identical to the monolithic table.
-    ephemeris_window_steps: int = 0
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -102,13 +93,6 @@ class SimulationConfig:
             raise ValueError(
                 "plan horizon must cover at least one refresh interval"
             )
-        if self.ephemeris_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"ephemeris_dtype must be 'float64' or 'float32', "
-                f"got {self.ephemeris_dtype!r}"
-            )
-        if self.ephemeris_window_steps < 0:
-            raise ValueError("ephemeris window must be non-negative")
 
     @property
     def num_steps(self) -> int:

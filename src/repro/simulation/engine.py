@@ -262,18 +262,8 @@ class Simulation:
         if config.execution_mode == "planned":
             steps += int(config.plan_horizon_s // config.step_s) + 1
         try:
-            if config.ephemeris_window_steps > 0:
-                from repro.orbits.ephemeris import StreamingEphemerisTable
-
-                return StreamingEphemerisTable(
-                    satellites, config.start, steps, config.step_s,
-                    window_steps=config.ephemeris_window_steps,
-                    dtype=config.ephemeris_dtype,
-                    recorder=recorder,
-                )
             return shared_ephemeris_table(
                 satellites, config.start, steps, config.step_s,
-                dtype=config.ephemeris_dtype,
                 recorder=recorder,
             )
         except SGP4Error:
@@ -521,10 +511,8 @@ class Simulation:
         rec.event(
             "cache", name="ephemeris",
             hits=int(counters.get("ephemeris_cache/memory_hit", 0)
-                     + counters.get("ephemeris_cache/disk_hit", 0)
-                     + counters.get("ephemeris_cache/shm_hit", 0)),
+                     + counters.get("ephemeris_cache/disk_hit", 0)),
             misses=int(counters.get("ephemeris_cache/build", 0)),
-            shm_hits=int(counters.get("ephemeris_cache/shm_hit", 0)),
         )
 
     # -- step pieces --------------------------------------------------------------

@@ -213,7 +213,9 @@ class TestSweepGridFileErrors:
         # The retired path knobs are unknown keys like any other.
         path = tmp_path / "grid.json"
         for key, value in (("warp_drive", 9), ("contact_windows", False),
-                           ("spatial_culling", True)):
+                           ("spatial_culling", True),
+                           ("ephemeris_dtype", "float32"),
+                           ("ephemeris_window_steps", 8)):
             path.write_text(json.dumps(
                 [{"label": "bad", "spec": {"kind": "dgs", key: value}}]
             ))
@@ -278,6 +280,20 @@ class TestServe:
         assert out.startswith("served ")
         report = json.loads(report_path.read_text())
         assert report["delivered_bits"] >= 0.0
+
+
+class TestEphemerisFlags:
+    """The float64 ephemeris table is the only form; the flags that
+    narrowed, streamed or shared it are retired."""
+
+    def test_rejected_on_simulate_and_sweep(self, capsys):
+        for argv in (["simulate", "--ephemeris-dtype", "float32"],
+                     ["simulate", "--ephemeris-window", "8"],
+                     ["sweep", "--grid", "fig3", "--share-ephemeris"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWindowIndexFlag:

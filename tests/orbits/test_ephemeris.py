@@ -6,6 +6,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+import repro.orbits.ephemeris as ephemeris_module
 from repro.orbits.constellation import synthetic_leo_constellation
 from repro.orbits.ephemeris import (
     BatchSGP4,
@@ -74,6 +75,14 @@ class TestEphemerisTable:
             for i, sat in enumerate(fleet):
                 pos_teme, _ = sat.position_teme(when)
                 assert np.max(np.abs(grid[i] - rot @ pos_teme)) < 1e-3
+
+    def test_chunked_build_matches_single_pass(self, tles, monkeypatch):
+        """The build-chunk size bounds temporaries; it moves no bit."""
+        fleet = [Satellite(tle=t) for t in tles]
+        whole = EphemerisTable.build(fleet, EPOCH, 61, 60.0)
+        monkeypatch.setattr(ephemeris_module, "_BUILD_CHUNK_STEPS", 7)
+        chunked = EphemerisTable.build(fleet, EPOCH, 61, 60.0)
+        np.testing.assert_array_equal(whole.positions, chunked.positions)
 
     def test_off_grid_and_out_of_range_lookups(self, tles):
         fleet = [Satellite(tle=t) for t in tles]

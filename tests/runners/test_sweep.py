@@ -132,19 +132,24 @@ class TestSpecSerialization:
             ScenarioSpec.from_dict(raw)
 
     def test_retired_path_knobs_rejected_hash_and_seeds_kept(self):
-        """``spatial_culling``/``contact_windows`` are gone from the spec,
-        but the hash and derived seeds still count them at ``True``, so
-        checkpoint keys and seeds match specs that carried them."""
+        """``spatial_culling``/``contact_windows`` and
+        ``ephemeris_dtype``/``ephemeris_window_steps`` are gone from the
+        spec, but the hash and derived seeds still count them at their
+        old defaults, so checkpoint keys and seeds match specs that
+        carried them."""
         spec = ScenarioSpec.dgs()
         raw = spec.to_dict()
-        for key in ("spatial_culling", "contact_windows"):
+        for key, value in (("spatial_culling", True),
+                           ("contact_windows", True),
+                           ("ephemeris_dtype", "float64"),
+                           ("ephemeris_window_steps", 0)):
             assert key not in raw
             with pytest.raises(ValueError, match=key):
-                ScenarioSpec.from_dict({**raw, key: True})
+                ScenarioSpec.from_dict({**raw, key: value})
             with pytest.raises(TypeError):
-                ScenarioSpec.dgs(**{key: True})
-        # Values recorded before the retirement, when both keys were
-        # spec fields defaulting to True.
+                ScenarioSpec.dgs(**{key: value})
+        # Values recorded before the retirements, when the four keys
+        # were spec fields at these defaults.
         assert spec.config_sha256() == (
             "7cd85f5d689d9ec2a6437bb0ae2afde8bbfdd3facddbad79586b70c55b23173c"
         )
@@ -263,11 +268,6 @@ class TestEquivalence:
         parallel = SweepRunner(tiny_grid(), workers=2).run()
         assert parallel.to_json() == serial_result.to_json()
 
-    def test_shared_ephemeris_matches_serial_bytes(self, serial_result):
-        shared = SweepRunner(tiny_grid(), workers=2,
-                             share_ephemeris=True).run()
-        assert shared.to_json() == serial_result.to_json()
-
     def test_resume_matches_serial_bytes(self, serial_result, tmp_path):
         # Simulate a killed sweep: two of four checkpoints survive.
         grid = tiny_grid()
@@ -293,47 +293,6 @@ class TestEquivalence:
         again = SweepRunner(grid, run_dir=run_dir).run(resume=False)
         assert again.skipped == 0
         assert again.to_json() == first.to_json()
-
-
-class TestSharedEphemerisExport:
-    def test_fleet_identical_cells_share_one_block(self):
-        from repro.runners.sweep import _export_shared_ephemeris
-
-        cells = [
-            SweepCell("full", tiny_spec(station_fraction=1.0)),
-            SweepCell("half", tiny_spec(station_fraction=0.5)),
-            SweepCell("stream", tiny_spec(ephemeris_window_steps=8)),
-        ]
-        handles, blocks = _export_shared_ephemeris(cells)
-        try:
-            # Two cells share one fleet; the streaming cell opts out.
-            assert len(handles) == 1
-            assert len(blocks) == 1
-        finally:
-            for shm in blocks:
-                shm.close()
-                shm.unlink()
-
-    def test_longest_horizon_wins(self):
-        from repro.runners.sweep import _export_shared_ephemeris
-
-        cells = [
-            SweepCell("short", tiny_spec()),
-            SweepCell("long", ScenarioSpec.dgs(
-                num_satellites=2, num_stations=5,
-                duration_s=4 * DURATION_S, fleet_seed=7,
-            )),
-        ]
-        handles, blocks = _export_shared_ephemeris(cells)
-        try:
-            assert len(handles) == 1
-            (handle,) = handles.values()
-            shape = handle[1]
-            assert shape[0] == int(4 * DURATION_S // 60.0)
-        finally:
-            for shm in blocks:
-                shm.close()
-                shm.unlink()
 
 
 class TestArtifacts:

@@ -21,11 +21,7 @@ from repro.groundstations.network import satnogs_like_network
 from repro.linkbudget.budget import LinkBudget, baseline_receiver
 from repro.obs.recorder import Recorder
 from repro.orbits.constellation import synthetic_leo_constellation
-from repro.orbits.ephemeris import (
-    StreamingEphemerisTable,
-    clear_ephemeris_cache,
-    shared_ephemeris_table,
-)
+from repro.orbits.ephemeris import clear_ephemeris_cache, shared_ephemeris_table
 from repro.orbits.passes import PassPredictor
 from repro.satellites.satellite import Satellite
 from repro.scheduling.graph import GeometryEngine, PairGroupCache
@@ -122,22 +118,6 @@ class TestCsrAgainstDirectGeometry:
             else:
                 assert bool(index.boundary[k]) == (current != previous)
             previous = current
-
-    def test_streaming_ephemeris_build_identical(self):
-        """Windowed ephemeris streaming does not change the index."""
-        satellites = _fleet(15)
-        network = satnogs_like_network(20, seed=13)
-        mono = shared_ephemeris_table(satellites, EPOCH, NUM_STEPS, STEP_S)
-        monolithic = _build(satellites, network, ephemeris=mono)
-        stream = StreamingEphemerisTable(
-            satellites, EPOCH, NUM_STEPS, STEP_S, window_steps=16
-        )
-        streamed = _build(satellites, network, ephemeris=stream)
-        assert np.array_equal(monolithic.step_ptr, streamed.step_ptr)
-        assert np.array_equal(monolithic.pair_sat, streamed.pair_sat)
-        assert np.array_equal(monolithic.pair_elevation,
-                              streamed.pair_elevation)
-        assert np.array_equal(monolithic.pair_range, streamed.pair_range)
 
 
 _INDEX_ARRAYS = (

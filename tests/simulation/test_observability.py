@@ -22,7 +22,8 @@ from repro.weather.provider import QuantizedWeatherCache
 EPOCH = datetime(2020, 6, 1)
 
 
-def build_sim(observability=None, duration_h=2.0, use_forecast=False):
+def build_sim(observability=None, duration_h=2.0, use_forecast=False,
+              weather=None):
     tles = synthetic_leo_constellation(8, EPOCH, seed=21)
     sats = [Satellite(tle=t, chunk_size_gb=0.5) for t in tles]
     network = satnogs_like_network(20, seed=13)
@@ -30,7 +31,8 @@ def build_sim(observability=None, duration_h=2.0, use_forecast=False):
         start=EPOCH, duration_s=duration_h * 3600.0, step_s=60.0,
         use_forecast=use_forecast,
     )
-    weather = QuantizedWeatherCache(RainCellField(seed=3))
+    if weather is None:
+        weather = QuantizedWeatherCache(RainCellField(seed=3))
     return Simulation(
         satellites=sats, network=network, value_function=LatencyValue(),
         config=config, truth_weather=weather, observability=observability,
@@ -57,6 +59,59 @@ class TestNoOpEquivalence:
 
         assert sim.obs is NULL_RECORDER
         assert sim.run().stage_timings == {}
+
+
+class _CallLog(QuantizedWeatherCache):
+    """A quantized cache that records every call made on it, in order."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = []
+
+    def sample(self, lat_deg, lon_deg, when):
+        self.calls.append(("sample", lat_deg, lon_deg, when))
+        return super().sample(lat_deg, lon_deg, when)
+
+    def sample_prequantized(self, lat_q, lon_q, lat_deg, lon_deg, when):
+        self.calls.append(
+            ("sample_prequantized", lat_q, lon_q, lat_deg, lon_deg, when)
+        )
+        return super().sample_prequantized(lat_q, lon_q, lat_deg, lon_deg,
+                                           when)
+
+
+class TestObservedWeatherPath:
+    def test_recorder_leaves_provider_calls_unchanged(self):
+        """The recorder times weather; it does not pick how it is sampled.
+
+        On and off, the provider sees the same method with the same
+        arguments in the same order, and the reports match byte for
+        byte once the wall-clock stage timings are set aside.
+        """
+        runs = {}
+        for observed in (False, True):
+            weather = _CallLog(RainCellField(seed=3))
+            sim = build_sim(
+                observability=ObsConfig() if observed else None,
+                weather=weather,
+            )
+            report = sim.run().to_dict()
+            report.pop("stage_timings")
+            runs[observed] = (
+                weather.calls,
+                json.dumps(report, sort_keys=True),
+                sim.obs.counters_snapshot(),
+            )
+        (calls_off, report_off, _), (calls_on, report_on, counters) = (
+            runs[False], runs[True]
+        )
+        assert calls_on == calls_off
+        assert report_on == report_off
+        # The scheduler's memo is the only caller of the pre-quantized
+        # form; the counter counts exactly those calls.
+        memo_calls = sum(call[0] == "sample_prequantized" for call in calls_on)
+        assert memo_calls > 0
+        assert counters["weather_samples"] == memo_calls
 
 
 class TestStageTimings:
