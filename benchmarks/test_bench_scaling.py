@@ -43,11 +43,12 @@ GATE_STATIONS = 1000
 
 #: Peak-RSS budget for the 10k x 1 h run.  Measured 450 MB with the
 #: float64 ephemeris table and the contact-window index built in bounded
-#: scan chunks and statics blocks (458 MB when the cell still stored a
-#: float32 table in streamed windows), against 890-900 MB when the index
-#: build held 200k-row scan chunks and whole-index sort and statics
-#: temporaries at once; 750 MB catches a return to that or to dense
-#: per-step matrices.
+#: scan chunks, both while the index also stored per-row link-budget
+#: columns and since it stores geometry only, so those columns were not
+#: this cell's peak (458 MB when the cell still stored a float32 table in
+#: streamed windows), against 890-900 MB when the index build held 200k-row
+#: scan chunks and whole-index sort and column temporaries at once;
+#: 750 MB catches a return to that or to dense per-step matrices.
 RSS_BUDGET_KB = 750 * 1024
 
 

@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from repro.groundstations.network import GroundStationNetwork
-from repro.linkbudget.budget import KernelStatics, LinkBudget
+from repro.linkbudget.budget import LinkBudget
+from repro.linkbudget.itu import rain_height_above_station_km
 from repro.orbits.frames import geodetic_to_ecef
 from repro.orbits.timebase import datetime_to_jd, gmst_rad
 from repro.satellites.satellite import Satellite
@@ -236,9 +237,12 @@ class GeometryEngine:
         # The scan's sine-space prescreen floor per station (see
         # :func:`_visible_rows`).
         self._sin_floor = np.sin(np.radians(self._min_elevation)) - 1e-9
-        # Per-station scalars the batched budget kernel consumes.
-        self._station_lat_deg = np.array([st.latitude_deg for st in network])
-        self._station_alt_km = np.array([st.altitude_km for st in network])
+        # The rain height above each station, the only station term of
+        # the batched budget kernel.
+        self._station_rain_height_km = rain_height_above_station_km(
+            np.array([st.latitude_deg for st in network], dtype=float),
+            np.array([st.altitude_km for st in network], dtype=float),
+        )
         self._can_transmit = np.array(
             [st.can_transmit for st in network], dtype=bool
         )
@@ -350,8 +354,8 @@ def pair_source(
     ephemeris: "EphemerisTable | None" = None,
     window_index=None,
     recorder=None,
-) -> tuple[Pairs, int | None]:
-    """The visible pairs at ``when`` and the index step that served them.
+) -> Pairs:
+    """The visible pairs at ``when``.
 
     On the step grid of ``window_index`` (a
     :class:`~repro.scheduling.windows.ContactWindowIndex`) the pairs are
@@ -361,7 +365,7 @@ def pair_source(
     scan_visible` step runs on the ``ephemeris`` row (or per-satellite
     propagation when the row is missing), the same scan and arithmetic
     that built the index, so both branches return identical rows for
-    the same instant.  The step is ``None`` off the grid.
+    the same instant.
     """
     record = recorder is not None and recorder.enabled
     if window_index is not None:
@@ -371,7 +375,7 @@ def pair_source(
             if record:
                 recorder.counter("window_index_hits")
                 recorder.counter("visible_pairs", int(pairs[0].size))
-            return pairs, k
+            return pairs
     sat_ecef = None
     if ephemeris is not None:
         sat_ecef = ephemeris.positions_ecef(when)
@@ -385,7 +389,7 @@ def pair_source(
     pairs = geometry.scan_visible(sat_ecef, recorder)
     if record:
         recorder.counter("visible_pairs", int(pairs[0].size))
-    return pairs, None
+    return pairs
 
 
 def build_contact_graph(
@@ -446,14 +450,14 @@ def build_contact_graph(
         unavailable |= {
             j for j, f in enumerate(weight_factor) if f <= 0.0
         }
-    pairs, step = pair_source(
+    pairs = pair_source(
         satellites, when, geometry, ephemeris, window_index, recorder
     )
     edges = _mask_and_price(
         satellites, network, when, value_function, link_budget_for,
         forecast, step_s, geometry, pairs, unavailable,
         require_current_plan, plan_max_age_s, weight_factor, pair_groups,
-        queue_profile, window_index, step, weather_memo, recorder,
+        queue_profile, weather_memo, recorder,
     )
     if isinstance(edges, EdgeColumns):
         return ContactGraph(when=when, columns=edges,
@@ -530,8 +534,6 @@ def _mask_and_price(
     weight_factor: list[float] | None,
     pair_groups: PairGroupCache | None,
     queue_profile,
-    window_index,
-    step: int | None,
     weather_memo,
     recorder,
 ) -> "EdgeColumns | list[ContactEdge]":
@@ -541,8 +543,6 @@ def _mask_and_price(
     masks only remove entries, so the survivors reach
     :func:`_price_pairs` in that order (matchers tie-break on it).  In
     the common unmasked case the pair arrays flow through without a copy.
-    When an index step served the pairs, its precomputed kernel statics
-    travel alongside and are gathered with the same rows.
     """
     pair_sat, pair_gs, pair_elevation, pair_range = pairs
     num_sats = len(satellites)
@@ -577,9 +577,7 @@ def _mask_and_price(
         satellites, network, when, value_function, link_budget_for,
         forecast, step_s, geometry, pairs,
         None if keep is None else np.flatnonzero(keep),
-        weight_factor, pair_groups, queue_profile, weather_memo,
-        None if step is None else window_index.kernel_statics_at(step),
-        recorder,
+        weight_factor, pair_groups, queue_profile, weather_memo, recorder,
     )
 
 
@@ -598,17 +596,15 @@ def _price_pairs(
     pair_groups: PairGroupCache | None,
     queue_profile,
     weather_memo,
-    kernel_static: dict[int, KernelStatics] | None,
     recorder,
 ) -> "EdgeColumns | list[ContactEdge]":
     """Price the feasible pairs through the batched budget kernel.
 
     The pricing half of :func:`_mask_and_price`: ``rows`` indexes the
-    feasible entries of ``pairs`` (``None`` when every pair is feasible),
-    and ``kernel_static`` maps hardware-class gid to precomputed
-    :class:`~repro.linkbudget.budget.KernelStatics` columns aligned with
-    ``pairs``; the budget kernel then skips its fspl, gas, and
-    cloud-sine evaluations bit-identically.
+    feasible entries of ``pairs`` (``None`` when every pair is feasible).
+    The kernel (:meth:`LinkBudget.evaluate_batch`) derives each pair's
+    path loss and slant-path terms from its range and elevation in-step,
+    so only the rows that survive the masks are ever priced.
 
     Weather is sampled for every feasible station first.  With a
     vectorized ``edge_values`` the fleet queue profile is refreshed for
@@ -691,13 +687,6 @@ def _price_pairs(
     if rows is not None:
         pair_elevation = pair_elevation[rows]
         pair_range = pair_range[rows]
-        if kernel_static is not None:
-            # Gathering precomputed columns with the same rows keeps them
-            # element-aligned (and element-wise ops on a gathered subset
-            # are bit-equal to gathering their full-array results).
-            kernel_static = {
-                gid: st.take(rows) for gid, st in kernel_static.items()
-            }
     if recorder is not None and recorder.enabled:
         recorder.counter("priced_pairs", int(sat_idx.size))
 
@@ -720,8 +709,7 @@ def _price_pairs(
             pair_groups.gid[i, j] = gid
             pair_groups.budget_of.setdefault(gid, budget)
             gids[p] = gid
-    station_lat = geometry._station_lat_deg[gs_idx]
-    station_alt = geometry._station_alt_km[gs_idx]
+    rain_height = geometry._station_rain_height_km[gs_idx]
 
     pair_count = sat_idx.size
     gid_lo = int(gids.min())
@@ -730,17 +718,12 @@ def _price_pairs(
         # Single hardware class (the common case): evaluate the whole
         # pair set in one kernel call, no group masking or scatters.
         budget = pair_groups.budget_of[gid_lo]
-        static = (
-            kernel_static.get(gid_lo) if kernel_static is not None else None
-        )
         result = budget.evaluate_batch(
             range_km=pair_range,
             elevation_deg=pair_elevation,
-            station_latitude_deg=station_lat,
             rain_rate_mm_h=rain[gs_idx],
             cloud_water_kg_m2=cloud[gs_idx],
-            station_altitude_km=station_alt,
-            static=static,
+            rain_height_km=rain_height,
         )
         closes = result.closes
         bitrate = result.bitrate_bps
@@ -756,19 +739,12 @@ def _price_pairs(
             budget = pair_groups.budget_of[gid]
             pos = np.nonzero(gids == gid)[0]
             stations_of = gs_idx[pos]
-            static = None
-            if kernel_static is not None:
-                full = kernel_static.get(gid)
-                if full is not None:
-                    static = full.take(pos)
             result = budget.evaluate_batch(
                 range_km=pair_range[pos],
                 elevation_deg=pair_elevation[pos],
-                station_latitude_deg=station_lat[pos],
                 rain_rate_mm_h=rain[stations_of],
                 cloud_water_kg_m2=cloud[stations_of],
-                station_altitude_km=station_alt[pos],
-                static=static,
+                rain_height_km=rain_height[pos],
             )
             closes[pos] = result.closes
             bitrate[pos] = result.bitrate_bps

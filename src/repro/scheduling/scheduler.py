@@ -409,11 +409,10 @@ class DownlinkScheduler:
         plan gating or pricing remove any.  It records no counters:
         those count graph builds only.
         """
-        pairs, _step = pair_source(
+        return pair_source(
             self.satellites, when, self._geometry, self.ephemeris,
             self.window_index,
         )
-        return pairs
 
     def schedule_step(self, when: datetime,
                       forecast_issued_at: datetime | None = None,

@@ -32,8 +32,11 @@ both against the dense scalar oracle in ``tests/oracle.py``.
 The scan iterates steps chronologically in chunks of at most
 :data:`_SCAN_CHUNK_ROWS` (step, satellite) rows, so its transient
 memory stays bounded while the float64 ephemeris table and the index
-it produces stay whole; the index is the larger of the two by an
-order of magnitude (107 vs 8.5 MiB on the paper's 259 x 173 day).
+it produces stay whole.  The index is the larger of the two (38 vs
+8.5 MiB on the paper's 259 x 173 day, 129 vs 3.4 MiB for an hour of
+2500 x 1000): 24 B per stored (pair, step) row, 16 B per pass and 9 B
+per step.  It holds geometry only; the link budget prices the rows
+it serves from their range and elevation in-step.
 
 The scalar :class:`~repro.orbits.passes.PassPredictor` is the
 sub-second-precision reference for a single (satellite, site) pair; its
@@ -48,15 +51,9 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from repro.groundstations.network import GroundStationNetwork
-from repro.linkbudget.budget import KernelStatics
 from repro.orbits.passes import ContactWindow
 from repro.satellites.satellite import Satellite
 from repro.scheduling.graph import GeometryEngine, _budget_group_id
-
-#: Above this many stored (pair, step) rows the per-class kernel statics
-#: (six float64 columns each) stop being precomputed -- mega-scale
-#: builds keep the index itself but fall back to per-step fspl/gas.
-_KERNEL_STATICS_MAX_ROWS = 50_000_000
 
 #: Scan-chunk bound: stacked (step, satellite) rows per chunk.  A
 #: chunk's candidate and visibility temporaries are the scan's only
@@ -116,10 +113,6 @@ class ContactWindowIndex:
         #: ``boundary[k]`` is True when the visible-pair set at ``k``
         #: differs from step ``k - 1`` (some pass rose or set).
         self.boundary = boundary
-        #: Per-hardware-class geometry-only kernel terms, aligned with the
-        #: CSR pair arrays (filled by :meth:`build` when the class count
-        #: is small; see :meth:`kernel_statics_at`).
-        self._kernel_statics: dict[int, KernelStatics] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -198,37 +191,16 @@ class ContactWindowIndex:
         # Pre-resolve the hardware class of every pair that ever appears:
         # the per-step pricing path then never runs its per-pair budget
         # resolution loop (budget assignment is time-invariant).
-        kernel_statics: dict[int, KernelStatics] = {}
         if link_budget_for is not None and pair_groups is not None:
-            gids_present = _preresolve_pair_groups(
-                window_sat, window_gs,
-                satellites, link_budget_for, pair_groups,
+            _preresolve_pair_groups(
+                window_gs, satellites, link_budget_for, pair_groups,
             )
-            # Free-space loss, gaseous attenuation, the cloud model's
-            # elevation sine, and the rain model's slant-path geometry
-            # depend only on stored geometry (plus the class's radio
-            # frequency): evaluate them once here so the per-step kernel
-            # subtracts precomputed columns instead of recomputing
-            # transcendentals every tick.  Bounded to a handful of
-            # classes so memory stays ~6 columns per class.
-            if 0 < len(gids_present) <= 4 and \
-                    0 < total <= _KERNEL_STATICS_MAX_ROWS:
-                for gid in sorted(gids_present):
-                    kernel_statics[gid] = pair_groups.budget_of[
-                        gid
-                    ].precompute_statics(
-                        pair_range,
-                        pair_elevation,
-                        geometry._station_lat_deg,
-                        geometry._station_alt_km,
-                        station_index=pair_gs,
-                    )
 
         if recorder is not None and recorder.enabled:
             recorder.counter("window_index_pair_steps", total)
             recorder.counter("window_index_windows", int(window_sat.size))
 
-        index = cls(
+        return cls(
             start=start,
             step_s=step_s,
             num_steps=num_steps,
@@ -245,8 +217,6 @@ class ContactWindowIndex:
             window_set_step=window_set,
             boundary=boundary,
         )
-        index._kernel_statics = kernel_statics
-        return index
 
     # -- per-step queries ------------------------------------------------
 
@@ -284,27 +254,6 @@ class ContactWindowIndex:
     def active_count(self, k: int) -> int:
         """Number of pairs in a pass at step ``k`` (two pointer reads)."""
         return int(self.step_ptr[k + 1] - self.step_ptr[k])
-
-    def kernel_statics_at(self, k: int) -> dict[int, KernelStatics] | None:
-        """Per-class geometry kernel terms sliced to step ``k`` (views).
-
-        Maps hardware-class gid to the
-        :class:`~repro.linkbudget.budget.KernelStatics` columns aligned
-        with :meth:`pairs_at`'s rows, or ``None`` when the build skipped
-        precomputation (no budget resolver, too many classes, or a
-        mega-scale index).  The stored values are the exact outputs of
-        the batch fspl/gas/sine helpers on the stored geometry, so
-        feeding them to :meth:`LinkBudget.evaluate_batch` is
-        bit-identical to recomputing them in-step.
-        """
-        if not self._kernel_statics:
-            return None
-        lo = self.step_ptr[k]
-        hi = self.step_ptr[k + 1]
-        return {
-            gid: st.narrow(lo, hi)
-            for gid, st in self._kernel_statics.items()
-        }
 
     @property
     def num_windows(self) -> int:
@@ -479,11 +428,10 @@ class _RowStore:
 # structure, so the scan runs once per population and later builds are a
 # dictionary hit.  Soundness: the index content is a pure function of
 # the ephemeris table (keyed by object -- the ephemeris cache already
-# interns tables by TLE elements / start / step / dtype), the station
-# geometry + mask fingerprint, and the step grid; hardware-class ids
-# are interned process-wide, so cached kernel statics stay valid (a
-# scheduler whose classes differ simply misses the statics dict and
-# recomputes in-step).
+# interns tables by TLE elements / start / step), the station geometry
+# + mask fingerprint, and the step grid.  It holds geometry only, no
+# pricing terms, so schedulers with different hardware classes share
+# it; a hit replays just the caller's own class pre-resolution.
 # --------------------------------------------------------------------------
 
 #: Cached entries hold a strong reference to their ephemeris table, so a
@@ -493,12 +441,11 @@ _INDEX_CACHE_MAX = 4
 
 
 def _preresolve_pair_groups(
-    window_sat: np.ndarray,
     window_gs: np.ndarray,
     satellites: list[Satellite],
     link_budget_for,
     pair_groups,
-) -> set[int]:
+) -> None:
     """Resolve the hardware class of every pair that ever has a pass.
 
     The assignments :func:`repro.scheduling.graph._price_pairs` would
@@ -507,8 +454,7 @@ def _preresolve_pair_groups(
     class key is pure value -- ``(radio, receiver, margins)`` -- so
     satellites sharing a value-identical :class:`RadioConfig` resolve to
     the same class at every station; resolution runs once per (radio
-    class, station with a pass) and fills whole grid columns.  Returns
-    the class ids present among the window pairs.
+    class, station with a pass) and fills whole grid columns.
     """
     gid_grid = pair_groups.gid
     pass_stations = np.flatnonzero(
@@ -526,9 +472,6 @@ def _preresolve_pair_groups(
             pair_groups.budget_of.setdefault(gid, budget)
             gid_row[p] = gid
         gid_grid[np.ix_(rows, pass_stations)] = gid_row
-    # Every window pair was just resolved, so its class id is >= 0.
-    present = np.bincount(gid_grid[window_sat, window_gs])
-    return set(np.flatnonzero(present).tolist())
 
 
 def _geometry_fingerprint(geometry: GeometryEngine) -> tuple:
@@ -537,8 +480,6 @@ def _geometry_fingerprint(geometry: GeometryEngine) -> tuple:
         geometry._station_ecef.tobytes(),
         geometry._min_elevation.tobytes(),
         geometry._can_transmit.tobytes(),
-        geometry._station_lat_deg.tobytes(),
-        geometry._station_alt_km.tobytes(),
     )
 
 
@@ -580,8 +521,7 @@ def shared_window_index(
                 # on *this* scheduler's PairGroupCache, so redo it (same
                 # assignments the lazy per-tick path would make).
                 _preresolve_pair_groups(
-                    index.window_sat, index.window_gs,
-                    satellites, link_budget_for, pair_groups,
+                    index.window_gs, satellites, link_budget_for, pair_groups,
                 )
             if recorder is not None and recorder.enabled:
                 recorder.counter("window_index_cache/memory_hit")

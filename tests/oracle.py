@@ -12,7 +12,11 @@ are checked against, and the only place the reference lives:
   ``np.einsum``), for checking the scan's reordered per-component form;
 * :func:`scalar_edges` -- one :meth:`LinkBudget.evaluate` and one
   ``ValueFunction.edge_value`` call per visible pair, weather sampled per
-  station.
+  station;
+* :func:`reference_evaluate_batch` -- the batched link budget in two
+  phases: geometry-only columns first (:func:`reference_statics`), then
+  the weather-dependent terms from them, for checking the one in-step
+  kernel (:meth:`LinkBudget.evaluate_batch`) bit for bit.
 
 :func:`use_oracle` swaps a scheduler's graph build and pair source for
 these, so a whole simulation can run on the oracle and its report be
@@ -21,10 +25,21 @@ compared with production byte for byte.
 
 from __future__ import annotations
 
+import math
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.linkbudget.budget import BatchLinkResult, LinkBudget
+from repro.linkbudget.dvbs2 import ESN0_THRESHOLDS_DB, best_modcod_indices
+from repro.linkbudget.itu import (
+    _gas_zenith_db,
+    cloud_specific_coefficient,
+    rain_coefficients,
+    rain_height_km_batch,
+)
+from repro.orbits.constants import BOLTZMANN_DBW, SPEED_OF_LIGHT_M_S
 from repro.scheduling.graph import ContactEdge, ContactGraph, GeometryEngine
 
 
@@ -243,3 +258,151 @@ def assert_graphs_identical(graph_a, graph_b) -> None:
     assert graph_a.num_edges == graph_b.num_edges
     for edge_a, edge_b in zip(graph_a.edges, graph_b.edges):
         assert edge_a == edge_b
+
+
+# --------------------------------------------------------------------------
+# The batched link budget in two phases: per-row geometry columns, then
+# the weather-dependent terms.  This is the arithmetic the window index
+# once stored per (pair, step) row; the in-step kernel must reproduce it.
+# --------------------------------------------------------------------------
+
+class ReferenceStatics(NamedTuple):
+    """Geometry-only kernel terms of a fixed set of rows."""
+
+    fspl_db: np.ndarray
+    gas_db: np.ndarray
+    sin_el: np.ndarray
+    rain_slant: np.ndarray
+    rain_lg: np.ndarray
+    rain_b: np.ndarray
+
+    def take(self, idx: np.ndarray) -> "ReferenceStatics":
+        return ReferenceStatics(*(column[idx] for column in self))
+
+
+def reference_statics(
+    budget: LinkBudget,
+    range_km: np.ndarray,
+    elevation_deg: np.ndarray,
+    station_latitude_deg: np.ndarray | float,
+    station_altitude_km: np.ndarray | float = 0.0,
+) -> ReferenceStatics:
+    """Path loss, gas, the clamped elevation sine and the rain geometry.
+
+    Latitude and altitude broadcast against the 1-D rows.
+    """
+    range_km = np.asarray(range_km, dtype=float)
+    elevation_deg = np.asarray(elevation_deg, dtype=float)
+    rows = range_km.shape[0]
+    freq = budget.radio.frequency_ghz
+    distance_m = range_km * 1e3
+    ratio = 4.0 * math.pi * distance_m * (freq * 1e9) / SPEED_OF_LIGHT_M_S
+    fspl = 10.0 * np.log10(ratio * ratio)
+    rad_el = np.radians(np.maximum(elevation_deg, 5.0))
+    sin_el = np.sin(rad_el)
+    gas = _gas_zenith_db(freq) / sin_el
+    height = np.maximum(
+        0.0,
+        rain_height_km_batch(station_latitude_deg)
+        - np.asarray(station_altitude_km, dtype=float),
+    )
+    height = np.broadcast_to(height, (rows,))
+    slant = np.where(height > 0.0, height / sin_el, 0.0)
+    lg = slant * np.cos(rad_el)
+    rain_b = 0.38 * (1.0 - np.exp(-2.0 * lg))
+    return ReferenceStatics(fspl, gas, sin_el, slant, lg, rain_b)
+
+
+def reference_cloud_db(cloud_water_kg_m2, frequency_ghz: float,
+                       sin_el: np.ndarray) -> np.ndarray:
+    """Cloud attenuation from the stored sine, on the cloudy rows."""
+    clw = np.asarray(cloud_water_kg_m2, dtype=float)
+    if clw.shape != sin_el.shape:
+        clw, sin_el = np.broadcast_arrays(clw, sin_el)
+    wet = np.flatnonzero(clw > 0.0)
+    out = np.zeros(clw.shape)
+    kl = cloud_specific_coefficient(frequency_ghz, 273.15)
+    out.ravel()[wet] = clw.ravel()[wet] * kl / sin_el.ravel()[wet]
+    return out
+
+
+def reference_rain_db(rain_rate_mm_h, frequency_ghz: float,
+                      statics: ReferenceStatics,
+                      polarization: str = "circular") -> np.ndarray:
+    """Rain attenuation from the stored geometry, on the wet rows."""
+    rain = np.asarray(rain_rate_mm_h, dtype=float)
+    slant, lg, b_term = statics.rain_slant, statics.rain_lg, statics.rain_b
+    if rain.shape != slant.shape:
+        rain, slant, lg, b_term = np.broadcast_arrays(rain, slant, lg, b_term)
+    wet = np.flatnonzero(rain > 0.0)
+    out = np.zeros(rain.shape)
+    if wet.size == 0:
+        return out
+    rain_w = rain.ravel()[wet]
+    lg_w = lg.ravel()[wet]
+    k, alpha = rain_coefficients(frequency_ghz, polarization)
+    gamma = k * rain_w**alpha
+    r = 1.0 / (
+        1.0
+        + 0.78 * np.sqrt(lg_w * gamma / frequency_ghz)
+        - b_term.ravel()[wet]
+    )
+    reduction = np.where(lg_w <= 0.0, 1.0, np.clip(r, 0.05, 2.5))
+    out.ravel()[wet] = gamma * slant.ravel()[wet] * reduction
+    return out
+
+
+def reference_evaluate_batch(
+    budget: LinkBudget,
+    range_km: np.ndarray,
+    elevation_deg: np.ndarray,
+    station_latitude_deg: np.ndarray | float = 45.0,
+    rain_rate_mm_h: np.ndarray | float = 0.0,
+    cloud_water_kg_m2: np.ndarray | float = 0.0,
+    station_altitude_km: np.ndarray | float = 0.0,
+    statics: ReferenceStatics | None = None,
+) -> BatchLinkResult:
+    """:meth:`LinkBudget.evaluate_batch` from precomputed geometry columns.
+
+    ``statics`` defaults to :func:`reference_statics` of the same rows.
+    """
+    elevation_deg = np.asarray(elevation_deg, dtype=float)
+    if statics is None:
+        statics = reference_statics(
+            budget, range_km, elevation_deg, station_latitude_deg,
+            station_altitude_km,
+        )
+    freq = budget.radio.frequency_ghz
+    fspl = statics.fspl_db
+    gas = statics.gas_db
+    cloud = reference_cloud_db(cloud_water_kg_m2, freq, statics.sin_el)
+    rain = reference_rain_db(rain_rate_mm_h, freq, statics,
+                             budget.radio.polarization)
+    channels = min(budget.radio.channels, budget.receiver.channels)
+    cn0_dbhz = budget.radio.eirp_dbw_per_channel(channels) \
+        + budget.receiver.g_over_t_db(freq)
+    cn0_dbhz = cn0_dbhz - fspl
+    cn0_dbhz = cn0_dbhz - rain
+    cn0_dbhz = cn0_dbhz - cloud
+    cn0_dbhz = cn0_dbhz - gas
+    cn0_dbhz = cn0_dbhz - budget.receiver.antenna.pointing_loss_db
+    cn0_dbhz = cn0_dbhz - budget.receiver.implementation_loss_db
+    cn0_dbhz = cn0_dbhz - budget.hardware_calibration_db
+    cn0_dbhz = cn0_dbhz - BOLTZMANN_DBW
+    esn0 = cn0_dbhz - 10.0 * math.log10(budget.radio.symbol_rate_baud)
+    index = best_modcod_indices(esn0, budget.acm_margin_db)
+    index = np.where(elevation_deg <= 0.0, -1, index)
+    open_link = index < 0
+    safe = np.where(open_link, 0, index)
+    bitrate = np.where(open_link, 0.0, budget._bitrate_table_bps()[safe])
+    required = np.where(open_link, -100.0, ESN0_THRESHOLDS_DB[safe])
+    return BatchLinkResult(
+        esn0_db=esn0,
+        modcod_index=index,
+        bitrate_bps=bitrate,
+        required_esn0_db=required,
+        fspl_db=fspl,
+        rain_db=rain,
+        cloud_db=cloud,
+        gas_db=gas,
+    )

@@ -1,18 +1,17 @@
 """The contact-window index, pinned byte for byte.
 
 Report digests only catch a bit change that happens to move a report.
-These sha256 values cover every CSR array, pass record and
-kernel-statics column of two small scenarios; they were recorded from
-the plain row-gather scan (``tests.oracle.pair_visibility``), so any
-rework of the scan or the build for speed has to reproduce them.
+These sha256 values cover every CSR array and pass record of two small
+scenarios; they were recorded from the plain row-gather scan
+(``tests.oracle.pair_visibility``), so any rework of the scan or the
+build for speed has to reproduce them.
 
 The integer arrays are pinned everywhere.  The float columns come out of
-numpy's arcsin, log10 and exp kernels, which round differently on other
-numpy builds and SIMD targets, so they are checked only on the build
-they were recorded with.
+numpy's arcsin kernel, which rounds differently on other numpy builds
+and SIMD targets, so they are checked only on the build they were
+recorded with.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -53,12 +52,6 @@ DIGESTS = {
         "window_rise_step": "e23c0e18622a663ecc681f15e6fb51ac903f5a6e91ffd037f68b189355a3b8b7",
         "window_set_step": "affe680528025cb5b4d0f923b1d2946803dabf067fb7cc65c7d07b4e44120f5f",
         "boundary": "a3661b5d0b99b071f003534bf049a0d317277f957267a0b415e2156b193b68dc",
-        "statics0.fspl_db": "a90f8fa517c071e7df5e9ba3962e4d9e55cab8ce15f5d72ad7024a5b00267d32",
-        "statics0.gas_db": "677339819e1b8e862b76ccec0bf51b8ebd0072c0f69804b8441b1f7d71e9d9e3",
-        "statics0.sin_el": "3227f3d6eca95d1a9f11958d90aa3b727f656428848de81c41b6013831f87778",
-        "statics0.rain_slant": "97a9911cb1de17d17b8819ebc49c47488c211d4e4d268284157bda8b482e0da6",
-        "statics0.rain_lg": "f310255b50719c4af53ad5fa443bd3b7d0fd44dd54ecce4733b5cfbd77a59060",
-        "statics0.rain_b": "6a9fd2cab8da6e5944ac6212f628a006fac2aa51f55f5b5b8d7da332c2530928",
     },
     "paper": {
         "step_ptr": "8faaf8d896832473af611b791b4301fd9381976107c5ed35536661f63d306074",
@@ -71,12 +64,6 @@ DIGESTS = {
         "window_rise_step": "424c4d48a992daf34726078bb58b004f3cc77894f939469a626dd687a7bc76e6",
         "window_set_step": "c9db1894e3306bae38857a563607bcc1588a12ab84dd786c81e0c2f45d223548",
         "boundary": "09bafdc2b9c621dc326ae4dd68b59e27e30e2fd8c3d86b3d84be4fb648783c2f",
-        "statics0.fspl_db": "4c693d961930885593dc51385349f57c941a9dbefc9e3ed61a213ab70df076df",
-        "statics0.gas_db": "6a497f5e1a533dd5bc0021dccfc3fe352689688a672aca64c0523cb2cffc0bb8",
-        "statics0.sin_el": "45a77b979751c4105fc34c7569dffa1aa22d45372fa503aded2a06cda817bb78",
-        "statics0.rain_slant": "c2c4927d36e8020360b8d112ae0abbd4658f740e4d56ba706d59a353feded95d",
-        "statics0.rain_lg": "d198d190d635e916984e29ed32083eaafa0866db23123e0f9df5927f2302a1db",
-        "statics0.rain_b": "8f4b3a0bbdc170bc1538ce02b92e70b88abbcae8feda4716befe8d0d65272142",
     },
 }
 
@@ -117,12 +104,6 @@ def test_integer_arrays(indexes, scenario):
 def test_float_columns(indexes, scenario):
     index = indexes[scenario]
     got = {name: _digest(getattr(index, name)) for name in FLOAT_ARRAYS}
-    for c, gid in enumerate(sorted(index._kernel_statics)):
-        statics = index._kernel_statics[gid]
-        for field in dataclasses.fields(statics):
-            column = getattr(statics, field.name)
-            if column is not None:
-                got[f"statics{c}.{field.name}"] = _digest(column)
     want = {name: value for name, value in DIGESTS[scenario].items()
             if name not in INTEGER_ARRAYS}
     assert got == want

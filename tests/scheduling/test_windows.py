@@ -5,9 +5,10 @@ Equivalence against the dense scalar oracle lives in
 contracts -- that the stored per-step pair sets are exactly what direct
 dense geometry computes, that pass intervals are half-open ``[rise, set)``,
 that the scalar :class:`PassPredictor` brackets the step-sampled
-windows, that scan-chunk and statics-block sizes bound memory without
-changing a bit of the result, and that the session cache returns the
-same object without re-scanning.
+windows, that scan-chunk sizes bound memory without changing a bit of
+the result, that the index holds exactly its documented arrays and no
+per-row pricing columns, and that the session cache returns the same
+object without re-scanning.
 """
 
 from datetime import datetime, timedelta
@@ -15,7 +16,6 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-import repro.linkbudget.budget as budget_module
 import repro.scheduling.windows as windows_module
 from repro.groundstations.network import satnogs_like_network
 from repro.linkbudget.budget import LinkBudget, baseline_receiver
@@ -125,9 +125,6 @@ _INDEX_ARRAYS = (
     "window_sat", "window_gs", "window_rise_step", "window_set_step",
     "boundary",
 )
-_STATICS_COLUMNS = (
-    "fspl_db", "gas_db", "sin_el", "rain_slant", "rain_lg", "rain_b",
-)
 
 
 def _same_bits(a, b) -> bool:
@@ -135,89 +132,88 @@ def _same_bits(a, b) -> bool:
         and a.tobytes() == b.tobytes()
 
 
-class TestBuildInvariance:
-    """Scan-chunk and statics-block sizes bound the build's transient
-    memory; no size may change a bit of the index or its statics."""
+def _two_class_build():
+    """25 x 30, 3 h, half the stations with the 4 m baseline dish: two
+    hardware classes, with every pair's class pre-resolved."""
+    satellites = _fleet()
+    network = satnogs_like_network(30, seed=13)
+    for j, station in enumerate(network):
+        if j % 2:
+            station.receiver = baseline_receiver()
+    geometry = GeometryEngine(network)
+    budgets: dict = {}
 
-    @staticmethod
-    def _two_class_build():
-        satellites = _fleet()
-        network = satnogs_like_network(30, seed=13)
-        # Half the stations get the 4 m baseline dish: two hardware
-        # classes, so two sets of statics columns.
-        for j, station in enumerate(network):
-            if j % 2:
-                station.receiver = baseline_receiver()
-        geometry = GeometryEngine(network)
-        budgets: dict = {}
-
-        def link_budget_for(sat, j):
-            return budgets.setdefault(
-                (id(sat.radio), j),
-                LinkBudget(radio=sat.radio, receiver=network[j].receiver),
-            )
-
-        pair_groups = PairGroupCache(len(satellites), len(network))
-        index = _build(
-            satellites, network, geometry=geometry,
-            link_budget_for=link_budget_for, pair_groups=pair_groups,
+    def link_budget_for(sat, j):
+        return budgets.setdefault(
+            (id(sat.radio), j),
+            LinkBudget(radio=sat.radio, receiver=network[j].receiver),
         )
-        return index, geometry, pair_groups
 
-    @pytest.mark.parametrize("chunk_steps, block_rows", [
-        (1, None),     # one step per scan chunk
-        (7, None),     # 7 does not divide the 180 steps
-        (None, 997),   # statics blocks far smaller than the row count
-        (1, 997),
+    pair_groups = PairGroupCache(len(satellites), len(network))
+    index = _build(
+        satellites, network, geometry=geometry,
+        link_budget_for=link_budget_for, pair_groups=pair_groups,
+    )
+    return index, pair_groups
+
+
+class TestBuildInvariance:
+    """Scan-chunk sizes bound the build's transient memory; no size may
+    change a bit of the index."""
+
+    @pytest.mark.parametrize("chunk_steps", [
+        1,  # one step per scan chunk
+        7,  # 7 does not divide the 180 steps
     ])
-    def test_chunk_and_block_sizes_are_bit_identical(
-        self, monkeypatch, chunk_steps, block_rows
-    ):
-        default, _, _ = self._two_class_build()
-        rows = int(default.step_ptr[-1])
-        assert rows > 2 * 997
-        assert len(default._kernel_statics) == 2
-        if chunk_steps is not None:
-            # 25 satellites: exactly ``chunk_steps`` steps per chunk.
-            monkeypatch.setattr(
-                windows_module, "_SCAN_CHUNK_ROWS", chunk_steps * 25
-            )
-        if block_rows is not None:
-            monkeypatch.setattr(
-                budget_module, "_STATICS_BLOCK_ROWS", block_rows
-            )
-        rebuilt, _, _ = self._two_class_build()
+    def test_chunk_sizes_are_bit_identical(self, monkeypatch, chunk_steps):
+        default, _ = _two_class_build()
+        # 25 satellites: exactly ``chunk_steps`` steps per chunk.
+        monkeypatch.setattr(
+            windows_module, "_SCAN_CHUNK_ROWS", chunk_steps * 25
+        )
+        rebuilt, _ = _two_class_build()
         for name in _INDEX_ARRAYS:
             assert _same_bits(getattr(default, name),
                               getattr(rebuilt, name)), name
-        assert rebuilt._kernel_statics.keys() == default._kernel_statics.keys()
-        for gid, statics in default._kernel_statics.items():
-            for column in _STATICS_COLUMNS:
-                assert _same_bits(
-                    getattr(statics, column),
-                    getattr(rebuilt._kernel_statics[gid], column),
-                ), (gid, column)
 
-    def test_blockwise_statics_match_full_column_precompute(
-        self, monkeypatch
-    ):
-        """Per-station rain height + small blocks == the plain precompute
-        on whole per-row columns, for each of two hardware classes."""
-        monkeypatch.setattr(budget_module, "_STATICS_BLOCK_ROWS", 997)
-        index, geometry, pair_groups = self._two_class_build()
+
+def _held_arrays(obj, seen=None) -> list[np.ndarray]:
+    """Every ndarray reachable from ``obj``'s attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [a for child in children for a in _held_arrays(child, seen)]
+
+
+class TestIndexLayout:
+    def test_bytes_per_row_window_and_step(self):
+        """Every array the index holds, and nothing per row beyond them.
+
+        24 B per stored row (int32 satellite and station, float64
+        elevation and range), 16 B per pass record (four int32), 9 B per
+        step (an int64 pointer and a bool boundary flag) and the
+        pointer array's closing 8 B.  Pricing a row reads its range and
+        elevation in-step, so no per-row pricing column may come back,
+        whatever hardware classes the build pre-resolves.
+        """
+        index, pair_groups = _two_class_build()
+        assert len(pair_groups.budget_of) == 2
         rows = int(index.step_ptr[-1])
-        assert len(index._kernel_statics) == 2
-        monkeypatch.setattr(budget_module, "_STATICS_BLOCK_ROWS", rows)
-        for gid, statics in index._kernel_statics.items():
-            full = pair_groups.budget_of[gid].precompute_statics(
-                index.pair_range,
-                index.pair_elevation,
-                geometry._station_lat_deg[index.pair_gs],
-                geometry._station_alt_km[index.pair_gs],
-            )
-            for column in _STATICS_COLUMNS:
-                assert _same_bits(getattr(statics, column),
-                                  getattr(full, column)), (gid, column)
+        assert rows > 0
+        assert sum(a.nbytes for a in _held_arrays(index)) == (
+            24 * rows + 16 * index.num_windows + 9 * index.num_steps + 8
+        )
 
 
 class TestWindowExtraction:
