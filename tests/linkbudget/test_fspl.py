@@ -2,10 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.linkbudget.fspl import free_space_loss_linear, free_space_path_loss_db
+from repro.linkbudget.fspl import (
+    free_space_loss_linear,
+    free_space_path_loss_db,
+    free_space_path_loss_db_batch,
+)
 
 
 class TestFSPL:
@@ -50,3 +55,9 @@ class TestFSPL:
             free_space_path_loss_db(0.0, 8.2)
         with pytest.raises(ValueError):
             free_space_path_loss_db(500.0, -1.0)
+
+    def test_batch_takes_a_scalar_range(self):
+        # Any shape: a scalar is priced as a 0-d array, bit for bit.
+        one = free_space_path_loss_db_batch(np.array([700.0]), 8.2)
+        scalar = free_space_path_loss_db_batch(700.0, 8.2)
+        assert scalar.shape == () and scalar.tobytes() == one.tobytes()
