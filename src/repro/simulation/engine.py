@@ -168,9 +168,15 @@ class Simulation:
                     # Hard down: prune, unless a prior keeps a gamble edge.
                     return fault_availability_prior or 0.0
                 return availability
+        # The scheduling grid: planned execution looks ahead a plan
+        # horizon past the last step, so the ephemeris and the window
+        # index cover that too.
+        grid_steps = config.num_steps
+        if config.execution_mode == "planned":
+            grid_steps += int(config.plan_horizon_s // config.step_s) + 1
         with self.obs.span("ephemeris_build"):
             self.ephemeris = self._build_ephemeris(
-                satellites, config, recorder=self.obs
+                satellites, config, grid_steps, recorder=self.obs
             )
         self.scheduler = DownlinkScheduler(
             satellites=satellites,
@@ -194,15 +200,12 @@ class Simulation:
         # whose batch propagation failed scans every step instead.
         self.window_index = None
         if self.ephemeris is not None:
-            index_steps = config.num_steps
-            if config.execution_mode == "planned":
-                index_steps += int(config.plan_horizon_s // config.step_s) + 1
             with self.obs.span("window_index_build"):
                 self.window_index = shared_window_index(
                     satellites,
                     network,
                     start=config.start,
-                    num_steps=index_steps,
+                    num_steps=grid_steps,
                     step_s=config.step_s,
                     geometry=self.scheduler._geometry,
                     ephemeris=self.ephemeris,
@@ -247,20 +250,15 @@ class Simulation:
 
     @staticmethod
     def _build_ephemeris(satellites: list[Satellite],
-                         config: SimulationConfig,
+                         config: SimulationConfig, steps: int,
                          recorder=None) -> "EphemerisTable | None":
-        """Batch-propagate the fleet over the run's scheduling grid.
+        """Batch-propagate the fleet over the run's ``steps``-step grid.
 
-        Planned execution looks ahead a plan horizon past the last step,
-        so the table covers that too.  A fleet that decays mid-horizon
-        falls back to lazy per-satellite propagation (which raises at the
-        offending step).
+        A fleet that decays mid-horizon falls back to lazy per-satellite
+        propagation (which raises at the offending step).
         """
         if not satellites:
             return None
-        steps = config.num_steps
-        if config.execution_mode == "planned":
-            steps += int(config.plan_horizon_s // config.step_s) + 1
         try:
             return shared_ephemeris_table(
                 satellites, config.start, steps, config.step_s,
@@ -381,37 +379,15 @@ class Simulation:
         if cfg.execution_mode == "planned":
             with rec.span("plan_execution"):
                 executed = self._planned_step(now)
-        elif cfg.execution_mode == "diversity":
-            # Live matching plus extra listeners: the matched primary
-            # transmits as usual while otherwise-idle stations that can
-            # see the satellite record the same stream; the backend
-            # combiner keeps whichever copy decodes.
-            with rec.span("schedule"):
-                step = self.scheduler.schedule_step(
-                    now,
-                    forecast_issued_at=(
-                        self._last_forecast_issue if cfg.use_forecast
-                        else None
-                    ),
-                    keep_graph=True,
-                )
-            with rec.span("execute"):
-                from repro.scheduling.matching import diversity_groups
-
-                groups = diversity_groups(
-                    step.graph, step.assignments, cfg.diversity_receivers
-                )
-                for assignment in step.assignments:
-                    self._execute_diversity(
-                        assignment,
-                        groups.get(assignment.satellite_index, []),
-                        now,
-                    )
-            executed = {
-                a.satellite_index: a.station_index
-                for a in step.assignments
-            }
         else:
+            # Diversity mode is live matching plus extra listeners: the
+            # matched primary transmits as usual while otherwise-idle
+            # stations that can see the satellite record the same stream,
+            # picked from the kept graph; the backend combiner keeps
+            # whichever copy decodes.  keep_graph is passed in diversity
+            # mode only: the horizon and beamforming schedulers do not
+            # take it, and diversity mode rules them out.
+            diversity = cfg.execution_mode == "diversity"
             with rec.span("schedule"):
                 step = self.scheduler.schedule_step(
                     now,
@@ -419,10 +395,24 @@ class Simulation:
                         self._last_forecast_issue if cfg.use_forecast
                         else None
                     ),
+                    **({"keep_graph": True} if diversity else {}),
                 )
             with rec.span("execute"):
-                for assignment in step.assignments:
-                    self._execute_assignment(assignment, now)
+                if diversity:
+                    from repro.scheduling.matching import diversity_groups
+
+                    groups = diversity_groups(
+                        step.graph, step.assignments, cfg.diversity_receivers
+                    )
+                    for assignment in step.assignments:
+                        self._execute_diversity(
+                            assignment,
+                            groups.get(assignment.satellite_index, []),
+                            now,
+                        )
+                else:
+                    for assignment in step.assignments:
+                        self._execute_assignment(assignment, now)
             executed = {
                 a.satellite_index: a.station_index
                 for a in step.assignments
@@ -557,26 +547,23 @@ class Simulation:
         self._gen_acc = total
 
     def _execute_assignment(self, assignment, now: datetime) -> None:
+        """Execute one live (or aligned planned) contact step.
+
+        The truth weather and the fault layer decide whether the station
+        decodes; :meth:`_transmit` sends the bits either way and
+        :meth:`_land` lands what the station decoded.
+        """
         sat = self.satellites[assignment.satellite_index]
         station = self.network[assignment.station_index]
-        rec = self.obs
+        bits_budget = assignment.bitrate_bps * self.config.step_s
         if self.outages is not None and self.outages.is_down(
             station.station_id, now
         ):
             # The station is dark.  With unannounced failures the satellite
             # still transmits per plan and every bit is wasted; announced
             # outages were already filtered out of the contact graph.
-            bits_budget = assignment.bitrate_bps * self.config.step_s
-            sent, _completed = sat.storage.transmit(
-                bits_budget, now, decoded=False
-            )
-            self.metrics.record_lost_transmission(sent)
-            if rec.enabled:
-                rec.event("assignment", when=now.isoformat(),
-                          satellite_id=sat.satellite_id,
-                          station_id=station.station_id,
-                          bitrate_bps=assignment.bitrate_bps,
-                          decoded=False, bits=sent)
+            self._transmit(sat, station, assignment.bitrate_bps,
+                           bits_budget, False, now)
             return
         availability = 1.0
         if self.faults is not None:
@@ -589,138 +576,147 @@ class Simulation:
                 # edge as a gamble; unannounced ones always land here.  The
                 # satellite transmits per plan and every bit is wasted.
                 self.fault_counters.station_outage_steps += 1
-                sent, _completed = sat.storage.transmit(
-                    assignment.bitrate_bps * self.config.step_s, now,
-                    decoded=False,
-                )
-                self.metrics.record_lost_transmission(sent)
-                if rec.enabled:
-                    rec.event("fault", when=now.isoformat(),
-                              fault="station_outage",
-                              satellite_id=sat.satellite_id,
-                              station_id=station.station_id)
-                    rec.event("assignment", when=now.isoformat(),
-                              satellite_id=sat.satellite_id,
-                              station_id=station.station_id,
-                              bitrate_bps=assignment.bitrate_bps,
-                              decoded=False, bits=sent)
+                self._narrate("fault", now, sat, station.station_id,
+                              fault="station_outage")
+                self._transmit(sat, station, assignment.bitrate_bps,
+                               bits_budget, False, now)
                 return
-        if sat.power is not None and not sat.power.can_transmit():
-            # Flight rules: battery too low to power the radio this pass.
-            self.power_blocked_steps += 1
+        usable_fraction = self._powered_fraction(assignment, sat)
+        if usable_fraction is None:
             return
-        self._transmitted_this_step.add(assignment.satellite_index)
         decoded = True
-        # Antenna slew/acquisition: a station that just switched to this
-        # satellite loses part of the step before bits flow.
-        usable_fraction = 1.0
-        if self.config.acquisition_overhead_s > 0.0:
-            previously = self._previous_links.get(assignment.satellite_index)
-            if previously != assignment.station_index:
-                usable_fraction = 1.0 - (
-                    self.config.acquisition_overhead_s / self.config.step_s
-                )
         if self.config.use_forecast:
-            decoded = self._decodes_under_truth(assignment, sat, station, now)
+            decoded = self._decodes_under_truth(assignment, sat, now)
         if self.faults is not None and decoded:
             if self.faults.is_undecoded(station.station_id, now):
                 # Ground-side decode fault: the pass happens, nothing lands.
                 decoded = False
                 self.fault_counters.undecoded_steps += 1
-                if rec.enabled:
-                    rec.event("fault", when=now.isoformat(),
-                              fault="undecoded",
-                              satellite_id=sat.satellite_id,
-                              station_id=station.station_id)
+                self._narrate("fault", now, sat, station.station_id,
+                              fault="undecoded")
             elif self.faults.is_tle_stale(sat.satellite_id, now):
                 # Stale elements degrade pointing; the transmission fails.
                 decoded = False
                 self.fault_counters.stale_tle_steps += 1
-                if rec.enabled:
-                    rec.event("fault", when=now.isoformat(),
-                              fault="stale_tle",
-                              satellite_id=sat.satellite_id,
-                              station_id=station.station_id)
-        bits_budget = assignment.bitrate_bps * self.config.step_s * usable_fraction
+                self._narrate("fault", now, sat, station.station_id,
+                              fault="stale_tle")
+        bits_budget *= usable_fraction
         if availability < 1.0:
             # Partial outage: the pass proceeds at reduced capacity.
             bits_budget *= availability
             self.fault_counters.partial_outage_steps += 1
-            if rec.enabled:
-                rec.event("fault", when=now.isoformat(),
-                          fault="partial_outage",
-                          satellite_id=sat.satellite_id,
-                          station_id=station.station_id)
-        sent, completed = sat.storage.transmit(bits_budget, now, decoded=decoded)
-        if rec.enabled:
-            rec.event("assignment", when=now.isoformat(),
-                      satellite_id=sat.satellite_id,
-                      station_id=station.station_id,
-                      bitrate_bps=assignment.bitrate_bps,
-                      decoded=decoded, bits=sent)
+            self._narrate("fault", now, sat, station.station_id,
+                          fault="partial_outage")
+        completed = self._transmit(sat, station, assignment.bitrate_bps,
+                                   bits_budget, decoded, now)
+        if decoded:
+            self._land(sat, completed, [station], now)
+        if station.can_transmit:
+            self._tx_contact(sat, now, station.station_id)
+
+    def _powered_fraction(self, assignment, sat: Satellite) -> float | None:
+        """The share of the step left for bits; None if the radio is off.
+
+        Flight rules: a battery too low to power the radio blocks the
+        pass.  Otherwise the satellite is charged for transmitting this
+        step, and a station that just switched to it loses the antenna
+        slew/acquisition overhead before bits flow.
+        """
+        if sat.power is not None and not sat.power.can_transmit():
+            self.power_blocked_steps += 1
+            return None
+        self._transmitted_this_step.add(assignment.satellite_index)
+        cfg = self.config
+        if cfg.acquisition_overhead_s > 0.0 and self._previous_links.get(
+            assignment.satellite_index
+        ) != assignment.station_index:
+            return 1.0 - (cfg.acquisition_overhead_s / cfg.step_s)
+        return 1.0
+
+    # -- landing: every execution mode transmits and lands here -------------
+
+    def _transmit(self, sat: Satellite, station, bitrate_bps: float,
+                  bits: float, decoded: bool, now: datetime,
+                  **trace_fields) -> list:
+        """Send up to ``bits`` from ``sat`` toward ``station``.
+
+        Every transmission goes through here, decoded or not.  The trace
+        gets an ``assignment`` event (plus ``trace_fields``: diversity's
+        ``receivers``) and the EventLog a ``transmission``.  When nothing
+        decoded, the sent bits are booked as lost, in the metric and as
+        an EventLog ``loss``.  Returns the chunks that completed.
+        """
+        sent, completed = sat.storage.transmit(bits, now, decoded=decoded)
+        if self.obs.enabled:
+            self.obs.event("assignment", when=now.isoformat(),
+                           satellite_id=sat.satellite_id,
+                           station_id=station.station_id,
+                           bitrate_bps=bitrate_bps, decoded=decoded,
+                           bits=sent, **trace_fields)
         if self.events is not None and sent > 0:
             self.events.record(
                 now, "transmission", sat.satellite_id, station.station_id,
-                bits=sent, bitrate_bps=assignment.bitrate_bps, decoded=decoded,
+                bits=sent, bitrate_bps=bitrate_bps, decoded=decoded,
             )
-        if decoded:
-            backhaul_fault = None
-            if self.faults is not None:
-                backhaul_fault = self.faults.backhaul_fault(
-                    station.station_id, now
+        if not decoded:
+            self.metrics.record_lost_transmission(sent)
+            if self.events is not None and sent > 0:
+                self.events.record(now, "loss", sat.satellite_id,
+                                   station.station_id, bits=sent)
+        return completed
+
+    def _land(self, sat: Satellite, completed, receivers,
+              now: datetime) -> None:
+        """Credit each decoded chunk once and post its receipts.
+
+        ``receivers`` are the stations that decoded, in credit order:
+        live mode passes its one station, diversity mode every copy that
+        decoded.  A new chunk's delivered bits and latency go to
+        ``receivers[0]``; a chunk the ground already has (its first
+        receipt was lost, so the satellite retransmitted) is a
+        redelivery and is not recounted.  Each receiver then posts one
+        receipt per chunk over its own backhaul, where a partition drops
+        it and a latency spike delays it; the collator's duplicate
+        handling collapses the extras.
+        """
+        if not completed:
+            return
+        routes = [
+            (station, None if self.faults is None
+             else self.faults.backhaul_fault(station.station_id, now))
+            for station in receivers
+        ]
+        credit = receivers[0].station_id
+        for chunk in completed:
+            if chunk.chunk_id not in self._delivered_chunk_ids:
+                self._delivered_chunk_ids.add(chunk.chunk_id)
+                latency = (now - chunk.capture_time).total_seconds()
+                self.metrics.record_delivery(
+                    sat.satellite_id, latency, chunk.size_bits, credit,
                 )
-            for chunk in completed:
-                if chunk.chunk_id not in self._delivered_chunk_ids:
-                    self._delivered_chunk_ids.add(chunk.chunk_id)
-                    latency = (now - chunk.capture_time).total_seconds()
-                    self.metrics.record_delivery(
-                        sat.satellite_id, latency, chunk.size_bits,
-                        station.station_id,
-                    )
-                    if self.demand is not None:
-                        self.demand.accountant.record_delivery(chunk, now)
-                    if self.events is not None:
-                        self.events.record(
-                            now, "delivery", sat.satellite_id,
-                            station.station_id, chunk_id=chunk.chunk_id,
-                            latency_s=latency, bits=chunk.size_bits,
-                        )
-                    if rec.enabled:
-                        rec.event("delivery", when=now.isoformat(),
-                                  satellite_id=sat.satellite_id,
-                                  station_id=station.station_id,
-                                  chunk_id=chunk.chunk_id,
-                                  latency_s=latency, bits=chunk.size_bits)
-                else:
-                    # The ground already has this chunk (its first receipt
-                    # was lost, so the satellite retransmitted): unique
-                    # delivered bits and latency are not recounted.
-                    self.fault_counters.redelivered_chunks += 1
-                    if rec.enabled:
-                        rec.event("fault", when=now.isoformat(),
-                                  fault="redelivery",
-                                  satellite_id=sat.satellite_id,
-                                  station_id=station.station_id)
-                if backhaul_fault is not None and backhaul_fault.partitioned:
+                if self.demand is not None:
+                    self.demand.accountant.record_delivery(chunk, now)
+                self._narrate("delivery", now, sat, credit,
+                              chunk_id=chunk.chunk_id, latency_s=latency,
+                              bits=chunk.size_bits)
+            else:
+                self.fault_counters.redelivered_chunks += 1
+                self._narrate("fault", now, sat, credit, fault="redelivery")
+            for station, backhaul in routes:
+                if backhaul is not None and backhaul.partitioned:
                     # The station cannot reach the backend: the receipt is
                     # lost.  The ack never happens, so the ack-timeout
                     # requeue path retransmits the chunk later.
                     self.fault_counters.receipts_dropped += 1
-                    if rec.enabled:
-                        rec.event("fault", when=now.isoformat(),
-                                  fault="receipt_dropped",
-                                  satellite_id=sat.satellite_id,
-                                  station_id=station.station_id)
+                    self._narrate("fault", now, sat, station.station_id,
+                                  fault="receipt_dropped")
                     continue
                 backhaul_latency_s = station.backhaul_latency_s
-                if backhaul_fault is not None:
-                    backhaul_latency_s += backhaul_fault.extra_latency_s
+                if backhaul is not None:
+                    backhaul_latency_s += backhaul.extra_latency_s
                     self.fault_counters.receipts_delayed += 1
-                    if rec.enabled:
-                        rec.event("fault", when=now.isoformat(),
-                                  fault="receipt_delayed",
-                                  satellite_id=sat.satellite_id,
-                                  station_id=station.station_id)
+                    self._narrate("fault", now, sat, station.station_id,
+                                  fault="receipt_delayed")
                 self.backend.submit_receipt(
                     ChunkReceiptMessage(
                         station_id=station.station_id,
@@ -731,15 +727,21 @@ class Simulation:
                     ),
                     backhaul_latency_s=backhaul_latency_s,
                 )
-        else:
-            self.metrics.record_lost_transmission(sent)
-            if self.events is not None and sent > 0:
-                self.events.record(
-                    now, "loss", sat.satellite_id, station.station_id,
-                    bits=sent,
-                )
-        if station.can_transmit:
-            self._tx_contact(sat, now, station.station_id)
+
+    def _narrate(self, kind: str, now: datetime, sat: Satellite,
+                 station_id: str, **fields) -> None:
+        """Write one ``delivery`` or ``fault`` fact to the sinks.
+
+        The trace takes both kinds; the EventLog takes the kinds it
+        knows, which include ``delivery`` and not ``fault``.
+        """
+        if self.obs.enabled:
+            self.obs.event(kind, when=now.isoformat(),
+                           satellite_id=sat.satellite_id,
+                           station_id=station_id, **fields)
+        if self.events is not None and kind in self.events.KINDS:
+            self.events.record(now, kind, sat.satellite_id, station_id,
+                               **fields)
 
     # -- diversity reception (Sec. 3.3's hybrid-GS combining) ---------------
 
@@ -767,24 +769,13 @@ class Simulation:
             availability = self.faults.station_availability(
                 station.station_id, now
             )
-            if availability <= 0.0:
+            if availability <= 0.0 or self.faults.is_undecoded(
+                station.station_id, now
+            ):
                 return 0.0
-            if self.faults.is_undecoded(station.station_id, now):
-                return 0.0
-        truth = self.truth_weather.sample(
-            station.latitude_deg, station.longitude_deg, now
-        )
-        budget = self.scheduler._link_budget_for(sat, station_index)
-        result = budget.evaluate(
-            range_km=range_km,
-            elevation_deg=elevation_deg,
-            station_latitude_deg=station.latitude_deg,
-            rain_rate_mm_h=truth.rain_rate_mm_h,
-            cloud_water_kg_m2=truth.cloud_water_kg_m2,
-            station_altitude_km=station.altitude_km,
-        )
-        probability = decode_probability(result.esn0_db, required_esn0_db)
-        return probability * availability
+        esn0_db = self._truth_esn0_db(sat, station_index, elevation_deg,
+                                      range_km, now)
+        return decode_probability(esn0_db, required_esn0_db) * availability
 
     def _execute_diversity(self, assignment, secondaries,
                            now: datetime) -> None:
@@ -793,46 +784,27 @@ class Simulation:
         The satellite transmits exactly once, at the primary assignment's
         committed bitrate/MODCOD; every receiver (primary + recruited
         secondaries) independently attempts to decode that one stream and
-        the :class:`DiversityCombiner` ORs the copies.  Each successful
-        station posts its own receipt through the normal backhaul path --
-        the backend collator's duplicate handling collapses the extras,
-        and delivered bits/latency are credited once via the
-        delivered-chunk dedup set, to the first successful station.
+        the :class:`DiversityCombiner` ORs the copies.  The copies that
+        decoded land as live mode's one station does (:meth:`_land`),
+        credited to the first of them.
         """
-        cfg = self.config
-        rec = self.obs
         sat = self.satellites[assignment.satellite_index]
         primary = self.network[assignment.station_index]
-        if sat.power is not None and not sat.power.can_transmit():
-            self.power_blocked_steps += 1
+        usable_fraction = self._powered_fraction(assignment, sat)
+        if usable_fraction is None:
             return
-        self._transmitted_this_step.add(assignment.satellite_index)
-        usable_fraction = 1.0
-        if cfg.acquisition_overhead_s > 0.0:
-            previously = self._previous_links.get(assignment.satellite_index)
-            if previously != assignment.station_index:
-                usable_fraction = 1.0 - (
-                    cfg.acquisition_overhead_s / cfg.step_s
-                )
-        attempts = [(
-            assignment.station_index,
-            primary.station_id,
-            True,
-            self._copy_decode_probability(
-                sat, assignment.station_index, assignment.elevation_deg,
-                assignment.range_km, assignment.required_esn0_db, now,
-            ),
-        )]
-        for edge in secondaries:
-            attempts.append((
+        attempts = [
+            (
                 edge.station_index,
                 self.network[edge.station_index].station_id,
-                False,
+                edge is assignment,
                 self._copy_decode_probability(
                     sat, edge.station_index, edge.elevation_deg,
                     edge.range_km, assignment.required_esn0_db, now,
                 ),
-            ))
+            )
+            for edge in (assignment, *secondaries)
+        ]
         reception = self.diversity.combine(sat.satellite_id, now, attempts)
         decoded = reception.decoded
         if decoded and self.faults is not None and self.faults.is_tle_stale(
@@ -842,101 +814,46 @@ class Simulation:
             # every copy at once, however many stations are listening.
             decoded = False
             self.fault_counters.stale_tle_steps += 1
-            if rec.enabled:
-                rec.event("fault", when=now.isoformat(), fault="stale_tle",
-                          satellite_id=sat.satellite_id,
-                          station_id=primary.station_id)
-        bits_budget = assignment.bitrate_bps * cfg.step_s * usable_fraction
-        sent, completed = sat.storage.transmit(bits_budget, now,
-                                               decoded=decoded)
-        if rec.enabled:
-            rec.event("assignment", when=now.isoformat(),
-                      satellite_id=sat.satellite_id,
-                      station_id=primary.station_id,
-                      bitrate_bps=assignment.bitrate_bps,
-                      decoded=decoded, bits=sent,
-                      receivers=len(attempts))
-        if self.events is not None and sent > 0:
-            self.events.record(
-                now, "transmission", sat.satellite_id, primary.station_id,
-                bits=sent, bitrate_bps=assignment.bitrate_bps,
-                decoded=decoded,
-            )
+            self._narrate("fault", now, sat, primary.station_id,
+                          fault="stale_tle")
+        completed = self._transmit(
+            sat, primary, assignment.bitrate_bps,
+            assignment.bitrate_bps * self.config.step_s * usable_fraction,
+            decoded, now, receivers=len(attempts),
+        )
         if decoded:
-            successes = [c for c in reception.copies if c.decoded]
-            credit = self.network[successes[0].station_index]
-            for chunk in completed:
-                if chunk.chunk_id not in self._delivered_chunk_ids:
-                    self._delivered_chunk_ids.add(chunk.chunk_id)
-                    latency = (now - chunk.capture_time).total_seconds()
-                    self.metrics.record_delivery(
-                        sat.satellite_id, latency, chunk.size_bits,
-                        credit.station_id,
-                    )
-                    if self.demand is not None:
-                        self.demand.accountant.record_delivery(chunk, now)
-                    if self.events is not None:
-                        self.events.record(
-                            now, "delivery", sat.satellite_id,
-                            credit.station_id, chunk_id=chunk.chunk_id,
-                            latency_s=latency, bits=chunk.size_bits,
-                        )
-                else:
-                    self.fault_counters.redelivered_chunks += 1
-                # One receipt per successful copy, each over its own
-                # backhaul (partitions/latency apply per station); the
-                # collator's duplicate-receipt path eats the extras.
-                for copy in successes:
-                    station = self.network[copy.station_index]
-                    backhaul_fault = None
-                    if self.faults is not None:
-                        backhaul_fault = self.faults.backhaul_fault(
-                            station.station_id, now
-                        )
-                    if backhaul_fault is not None \
-                            and backhaul_fault.partitioned:
-                        self.fault_counters.receipts_dropped += 1
-                        continue
-                    backhaul_latency_s = station.backhaul_latency_s
-                    if backhaul_fault is not None:
-                        backhaul_latency_s += backhaul_fault.extra_latency_s
-                        self.fault_counters.receipts_delayed += 1
-                    self.backend.submit_receipt(
-                        ChunkReceiptMessage(
-                            station_id=station.station_id,
-                            satellite_id=sat.satellite_id,
-                            chunk_id=chunk.chunk_id,
-                            received_at=now,
-                            size_bits=chunk.size_bits,
-                        ),
-                        backhaul_latency_s=backhaul_latency_s,
-                    )
-        else:
-            self.metrics.record_lost_transmission(sent)
-            if self.events is not None and sent > 0:
-                self.events.record(
-                    now, "loss", sat.satellite_id, primary.station_id,
-                    bits=sent,
-                )
+            self._land(sat, completed, [
+                self.network[copy.station_index]
+                for copy in reception.copies if copy.decoded
+            ], now)
         if primary.can_transmit:
             self._tx_contact(sat, now, primary.station_id)
 
     def _decodes_under_truth(self, assignment, sat: Satellite,
-                             station, now: datetime) -> bool:
+                             now: datetime) -> bool:
         """Would the planned MODCOD decode under the actual atmosphere?"""
+        return self._truth_esn0_db(
+            sat, assignment.station_index, assignment.elevation_deg,
+            assignment.range_km, now,
+        ) >= assignment.required_esn0_db
+
+    def _truth_esn0_db(self, sat: Satellite, station_index: int,
+                       elevation_deg: float, range_km: float,
+                       now: datetime) -> float:
+        """The link's Es/N0 under the station's true weather at ``now``."""
+        station = self.network[station_index]
         truth = self.truth_weather.sample(
             station.latitude_deg, station.longitude_deg, now
         )
-        budget = self.scheduler._link_budget_for(sat, assignment.station_index)
-        result = budget.evaluate(
-            range_km=assignment.range_km,
-            elevation_deg=assignment.elevation_deg,
+        budget = self.scheduler._link_budget_for(sat, station_index)
+        return budget.evaluate(
+            range_km=range_km,
+            elevation_deg=elevation_deg,
             station_latitude_deg=station.latitude_deg,
             rain_rate_mm_h=truth.rain_rate_mm_h,
             cloud_water_kg_m2=truth.cloud_water_kg_m2,
             station_altitude_km=station.altitude_km,
-        )
-        return result.esn0_db >= assignment.required_esn0_db
+        ).esn0_db
 
     # -- planned execution (Sec. 3's operational model) ---------------------
 
@@ -947,14 +864,12 @@ class Simulation:
         plan it last received at a tx-capable contact.  Returns the
         executed satellite->station links.
         """
-        from datetime import timedelta as _td
-
         cfg = self.config
         if self._latest_plan is None or now >= self._next_plan_issue:
             self._latest_plan = self.scheduler.build_plan(
                 now, cfg.plan_horizon_s
             )
-            self._next_plan_issue = now + _td(seconds=cfg.plan_refresh_s)
+            self._next_plan_issue = now + timedelta(seconds=cfg.plan_refresh_s)
         station_targets = self._latest_plan.station_targets(now)
         executed: dict[int, int] = {}
         for sat_index, sat in enumerate(self.satellites):
@@ -964,30 +879,25 @@ class Simulation:
             entry = plan.entry_at(sat_index, now)
             if entry is None:
                 continue
-            station = self.network[entry.station_index]
-            pointing_at = station_targets.get(entry.station_index)
-            aligned = pointing_at == sat_index
-            if not aligned:
+            if station_targets.get(entry.station_index) == sat_index:
+                self._execute_assignment(Assignment(
+                    satellite_index=sat_index,
+                    station_index=entry.station_index,
+                    weight=0.0,
+                    bitrate_bps=entry.expected_bitrate_bps,
+                    elevation_deg=entry.elevation_deg,
+                    range_km=entry.range_km,
+                    required_esn0_db=entry.required_esn0_db,
+                ), now)
+            else:
                 # The station moved on (newer plan); the satellite's
                 # transmission falls on a dish pointed elsewhere.
                 self.plan_mismatch_steps += 1
-            assignment = Assignment(
-                satellite_index=sat_index,
-                station_index=entry.station_index,
-                weight=0.0,
-                bitrate_bps=entry.expected_bitrate_bps,
-                elevation_deg=entry.elevation_deg,
-                range_km=entry.range_km,
-                required_esn0_db=entry.required_esn0_db,
-            )
-            if aligned:
-                self._execute_assignment(assignment, now)
-            else:
-                sent, _ = sat.storage.transmit(
-                    entry.expected_bitrate_bps * cfg.step_s, now,
-                    decoded=False,
+                self._transmit(
+                    sat, self.network[entry.station_index],
+                    entry.expected_bitrate_bps,
+                    entry.expected_bitrate_bps * cfg.step_s, False, now,
                 )
-                self.metrics.record_lost_transmission(sent)
             executed[sat_index] = entry.station_index
         self._bootstrap_planless(now, executed)
         return executed
@@ -1062,11 +972,8 @@ class Simulation:
             # plan to upload and no collated ack batch.  The satellite
             # leaves with stale state and recovers via the ack timeout.
             self.fault_counters.ack_batches_missed += 1
-            if self.obs.enabled:
-                self.obs.event("fault", when=now.isoformat(),
-                               fault="ack_batch_missed",
-                               satellite_id=sat.satellite_id,
-                               station_id=station_id)
+            self._narrate("fault", now, sat, station_id,
+                          fault="ack_batch_missed")
             return
         with self.obs.span("plan_upload"):
             sat.receive_plan(now)

@@ -89,6 +89,55 @@ class TestEngineEventRecording:
         for event in sim.events.of_kind("plan_upload"):
             assert event.station_id in tx_ids
 
+    @pytest.mark.parametrize("case", [
+        "healthy", "unannounced_faults", "legacy_outages", "planned",
+    ])
+    def test_loss_events_account_for_every_lost_bit(self, case):
+        """Every undecoded transmission is narrated as a loss, including
+        those at a dark station, an injected hard outage and a misaligned
+        planned contact."""
+        from repro.faults import FaultSchedule
+        from repro.groundstations.network import satnogs_like_network
+        from repro.orbits.constellation import synthetic_leo_constellation
+        from repro.satellites.satellite import Satellite
+        from repro.scheduling.value_functions import LatencyValue
+        from repro.simulation.config import SimulationConfig
+        from repro.simulation.engine import Simulation
+        from repro.simulation.faults import OutageSchedule
+
+        tles = synthetic_leo_constellation(8, EPOCH, seed=21)
+        sats = [Satellite(tle=t, chunk_size_gb=0.5) for t in tles]
+        network = satnogs_like_network(20, tx_capable_fraction=0.3, seed=13)
+        station_ids = [st.station_id for st in network]
+        duration_s = 4 * 3600.0
+        config = dict(start=EPOCH, duration_s=duration_s, record_events=True)
+        inputs = {}
+        if case == "unannounced_faults":
+            inputs = dict(faults=FaultSchedule.generate(
+                station_ids=station_ids,
+                satellite_ids=[s.satellite_id for s in sats],
+                start=EPOCH, horizon_s=duration_s, intensity=0.3, seed=7,
+            ), faults_announced=False)
+        elif case == "legacy_outages":
+            inputs = dict(outages=OutageSchedule.random_failures(
+                station_ids, EPOCH, duration_s,
+                mean_time_between_failures_s=4 * 3600.0,
+                mean_repair_s=3600.0, seed=5,
+            ))
+        elif case == "planned":
+            config.update(execution_mode="planned", plan_refresh_s=1800.0)
+        sim = Simulation(
+            satellites=sats, network=network, value_function=LatencyValue(),
+            config=SimulationConfig(**config), **inputs,
+        )
+        report = sim.run()
+        if case != "healthy":
+            assert report.lost_transmission_bits > 0.0
+        lost_via_events = sum(
+            e.data["bits"] for e in sim.events.of_kind("loss")
+        )
+        assert lost_via_events == report.lost_transmission_bits
+
     def test_disabled_by_default(self):
         from repro.groundstations.network import satnogs_like_network
         from repro.orbits.constellation import synthetic_leo_constellation

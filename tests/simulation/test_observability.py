@@ -7,8 +7,14 @@ JSONL, a manifest, and stage timings that account for the run loop.
 """
 
 import json
-from datetime import datetime
+from collections import Counter
+from dataclasses import replace
+from datetime import datetime, timedelta
 
+import pytest
+
+from repro.core.scenarios import build_paper_fleet, build_storm_weather
+from repro.faults import BackhaulFault, FaultSchedule
 from repro.groundstations.network import satnogs_like_network
 from repro.obs import ObsConfig, validate_trace_file
 from repro.orbits.constellation import synthetic_leo_constellation
@@ -175,6 +181,78 @@ class TestTracedRun:
         assignments = [r for r in lines if r["kind"] == "assignment"]
         assert assignments
         assert all(isinstance(a["decoded"], bool) for a in assignments)
+
+
+#: Trace ``fault`` kind -> the FaultCounters field it narrates.
+FAULT_COUNTERS = {
+    "station_outage": "station_outage_steps",
+    "partial_outage": "partial_outage_steps",
+    "undecoded": "undecoded_steps",
+    "stale_tle": "stale_tle_steps",
+    "receipt_dropped": "receipts_dropped",
+    "receipt_delayed": "receipts_delayed",
+    "ack_batch_missed": "ack_batches_missed",
+    "redelivery": "redelivered_chunks",
+}
+
+
+def build_faulted_storm_sim(execution_mode, observability):
+    """20 satellites, 15 stations, 6 h of storms and seeded faults.
+
+    A two-hour partition of every station on top of the generated faults,
+    with a 15-minute ack timeout, drops receipts early enough that their
+    chunks come back as redeliveries within the run.
+    """
+    fleet = build_paper_fleet(count=20)
+    network = satnogs_like_network(15, seed=11)
+    duration_s = 6 * 3600.0
+    generated = FaultSchedule.generate(
+        station_ids=[st.station_id for st in network],
+        satellite_ids=[sat.satellite_id for sat in fleet],
+        start=EPOCH, horizon_s=duration_s, intensity=0.3, seed=7,
+    )
+    partition = tuple(
+        BackhaulFault(st.station_id, EPOCH, EPOCH + timedelta(hours=2),
+                      partitioned=True)
+        for st in network
+    )
+    return Simulation(
+        satellites=fleet, network=network, value_function=LatencyValue(),
+        config=SimulationConfig(
+            start=EPOCH, duration_s=duration_s, ack_timeout_s=900.0,
+            execution_mode=execution_mode, diversity_receivers=2,
+        ),
+        truth_weather=build_storm_weather(3),
+        faults=replace(generated, backhaul=generated.backhaul + partition),
+        observability=observability,
+    )
+
+
+class TestNarrationMatchesReport:
+    @pytest.mark.parametrize("execution_mode", ["live", "diversity"])
+    def test_trace_narrates_what_the_report_counts(self, tmp_path,
+                                                   execution_mode):
+        """One delivery event per credited chunk and one fault event per
+        counted fault, whichever station landed the data."""
+        trace = tmp_path / "trace.jsonl"
+        report = build_faulted_storm_sim(
+            execution_mode, ObsConfig(trace_path=str(trace)),
+        ).run()
+        assert validate_trace_file(str(trace)) > 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        deliveries = [r for r in records if r["kind"] == "delivery"]
+        credited = sum(len(samples) for samples in report.latency_s.values())
+        assert credited > 0
+        assert len(deliveries) == credited
+        assert sum(r["bits"] for r in deliveries) == report.delivered_bits
+        counters = report.fault_counters
+        for name in ("redelivered_chunks", "receipts_dropped",
+                     "receipts_delayed", "stale_tle_steps"):
+            assert counters[name] > 0, name
+        traced = Counter(r["fault"] for r in records if r["kind"] == "fault")
+        assert {
+            name: traced[fault] for fault, name in FAULT_COUNTERS.items()
+        } == counters
 
 
 class TestComponentStats:
