@@ -51,14 +51,16 @@ class BeamformingScheduler(DownlinkScheduler):
             self.capacities = [beams] * len(self.network)
 
     def schedule_step(self, when: datetime,
-                      forecast_issued_at: datetime | None = None) -> ScheduleStep:
-        step = super().schedule_step(when, forecast_issued_at)
+                      forecast_issued_at: datetime | None = None,
+                      keep_graph: bool = False) -> ScheduleStep:
+        step = super().schedule_step(when, forecast_issued_at, keep_graph)
         if self.lossless:
             return step
         return ScheduleStep(
             when=step.when,
             assignments=self._reprice(step.assignments),
             num_edges=step.num_edges,
+            graph=step.graph,
         )
 
     def _reprice(self, assignments: list[Assignment]) -> list[Assignment]:

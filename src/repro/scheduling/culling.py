@@ -225,8 +225,10 @@ class StationGrid:
 def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``values[index]`` for an in-range ``index``.
 
-    ``np.take`` in clip mode skips the bounds check that fancy indexing
+    ``take`` in clip mode skips the bounds check that fancy indexing
     and raise-mode ``take`` make on every element (raise mode with
-    ``out=`` also copies).
+    ``out=`` also copies).  The method skips ``np.take``'s dispatch,
+    which costs as much as the gather itself on the few hundred rows a
+    tick prices.
     """
-    return np.take(values, index, mode="clip")
+    return values.take(index, mode="clip")

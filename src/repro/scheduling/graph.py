@@ -8,16 +8,18 @@ the edge weight is the value function applied to the link-model bitrate.
 :func:`build_contact_graph` has one path, in two stages:
 
 1. The **pair source** (:func:`pair_source`) returns the visible
-   ``(satellite, station, elevation_deg, range_km)`` rows, row-major by
-   (satellite, station).  On the step grid of a
-   :class:`~repro.scheduling.windows.ContactWindowIndex` they are two
+   ``(satellite, station)`` ids, row-major by (satellite, station), and
+   the fleet positions they were found from.  On the step grid of a
+   :class:`~repro.scheduling.windows.ContactWindowIndex` the ids are two
    pointer reads into the precomputed pass structure; any other instant
    runs one step of the same scan the index build runs per chunk
    (:meth:`GeometryEngine.scan_visible`: the regional-coverage prefilter,
    then the exact elevation-mask test on the candidates).
 2. The **mask-and-price tail** (:func:`_mask_and_price`) drops pairs the
    scheduler may not use (announced outages, constraint bitmaps, plan
-   gating) and prices the rest through the batched link-budget kernel
+   gating), derives the elevation and range of the rows it prices
+   (:func:`pair_geometry`, the scan's own arithmetic) and prices them
+   through the batched link-budget kernel
    (:meth:`LinkBudget.evaluate_batch`) and the value function.
 
 The scalar per-pair reference path and the dense ``M x N`` visibility
@@ -50,9 +52,10 @@ if TYPE_CHECKING:
 #: an issue time by the caller.
 ForecastFn = Callable[[float, float, datetime], WeatherSample]
 
-#: Visible pairs at one instant: ``(satellite, station, elevation_deg,
-#: range_km)`` arrays, row-major by (satellite, station).
-Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Visible pairs at one instant: ``(satellite, station)`` id arrays,
+#: row-major by (satellite, station), and the fleet's ``(M, 3)`` ECEF
+#: positions they were found from (what :func:`pair_geometry` reads).
+Pairs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ContactEdge(NamedTuple):
@@ -234,9 +237,6 @@ class GeometryEngine:
         self._station_xyz = np.ascontiguousarray(self._station_ecef.T)
         self._up_xyz = np.ascontiguousarray(np.reshape(ups, (-1, 3)).T)
         self._min_elevation = np.array([st.min_elevation_deg for st in network])
-        # The scan's sine-space prescreen floor per station (see
-        # :func:`_visible_rows`).
-        self._sin_floor = np.sin(np.radians(self._min_elevation)) - 1e-9
         # The rain height above each station, the only station term of
         # the batched budget kernel.
         self._station_rain_height_km = rain_height_above_station_km(
@@ -265,8 +265,10 @@ class GeometryEngine:
             sat_ecef[i] = rot @ pos_teme
         return sat_ecef
 
-    def scan_visible(self, positions: np.ndarray, recorder=None) -> Pairs:
-        """Visible ``(row, station, elevation_deg, range_km)`` of a block.
+    def scan_visible(
+        self, positions: np.ndarray, recorder=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Visible ``(row, station)`` ids of a block.
 
         The one visibility scan: the grid's candidate pairs (a
         conservative superset of the visible ones), then the exact
@@ -274,7 +276,9 @@ class GeometryEngine:
         (row, station) order.  ``positions`` is ``(R, 3)`` ECEF km: one
         fleet for an instant off the window index's grid, or several
         steps' fleets stacked step-major when the index build scans a
-        chunk.  ``recorder`` receives the candidate counters.
+        chunk.  The ids are all it keeps: :func:`pair_geometry` on them
+        gives back the elevations and ranges the test read, bit for bit.
+        ``recorder`` receives the candidate counters.
         """
         cand_sat, cand_gs = self.grid.candidate_pairs(positions)
         if recorder is not None and recorder.enabled:
@@ -283,27 +287,34 @@ class GeometryEngine:
                 "culled_pairs",
                 len(positions) * self.grid.num_stations - int(cand_sat.size),
             )
-        return _visible_rows(self, positions, cand_sat, cand_gs)
+        elevation = pair_geometry(self, positions, cand_sat, cand_gs)[0]
+        above = np.flatnonzero(
+            elevation > _take(self._min_elevation, cand_gs)
+        )
+        return _take(cand_sat, above), _take(cand_gs, above)
 
 
-def _visible_rows(
+def pair_geometry(
     geometry: GeometryEngine,
     positions: np.ndarray,
     sat_idx: np.ndarray,
     gs_idx: np.ndarray,
-) -> Pairs:
-    """The candidate pairs above their station's mask, in candidate order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(elevation_deg, range_km)`` of each (row, station) pair.
 
-    Per candidate: subtract, range, 3-term dot with the station zenith
-    and arcsin -- element for element the arithmetic of a dense
-    ``M x N`` elevation matrix (``tests/oracle.py``), restricted to the
-    candidates, so every returned row has the elevation/range the dense
-    matrix holds.  The work is laid out for cost, not the arithmetic:
-    each coordinate is gathered from a contiguous component array, and
-    the sums are written out in the order the dense matrix adds them --
-    the squared range as ``(x*x + y*y) + z*z`` (``np.linalg.norm``), the
-    zenith component as ``(x*ux + z*uz) + y*uy`` (``np.einsum``'s paired
-    SIMD lanes).  Only the visible rows are materialized.
+    ``positions`` is ``(R, 3)`` ECEF km and ``sat_idx`` indexes its rows.
+    Per pair: subtract, range, 3-term dot with the station zenith and
+    arcsin -- element for element the arithmetic of a dense ``M x N``
+    elevation matrix (``tests/oracle.py``), restricted to the given
+    pairs.  Every step is elementwise, so the pairs' values do not depend
+    on which other pairs are computed with them: the scan's mask test,
+    the pricing tail (on the priced rows only) and the pass records read
+    the same bits for the same pair.  The work is laid out for cost, not
+    the arithmetic: each coordinate is gathered from a contiguous
+    component array, and the sums are written out in the order the
+    dense matrix adds them -- the squared range as ``(x*x + y*y) + z*z``
+    (``np.linalg.norm``), the zenith component as ``(x*ux + z*uz) +
+    y*uy`` (``np.einsum``'s paired SIMD lanes).
     """
     # Promote before any in-place arithmetic: a float32 positions array
     # would otherwise round each difference to float32.
@@ -326,25 +337,11 @@ def _visible_rows(
     del y
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio /= rng
-    np.clip(ratio, -1.0, 1.0, out=ratio)
-    # Conservative sine-space prescreen: ``degrees(arcsin(r))`` is
-    # monotone in r with relative rounding error far below 1e-9, so any
-    # pair whose elevation could clear its mask has
-    # ``r >= sin(mask) - 1e-9``.  The exact arcsin then runs on the
-    # survivors only.
-    maybe = np.flatnonzero(ratio >= _take(geometry._sin_floor, gs_idx))
-    elevation = np.degrees(np.arcsin(_take(ratio, maybe)))
-    del ratio
-    above = np.flatnonzero(
-        elevation > _take(geometry._min_elevation, _take(gs_idx, maybe))
-    )
-    rows = _take(maybe, above)
-    return (
-        _take(sat_idx, rows),
-        _take(gs_idx, rows),
-        _take(elevation, above),
-        _take(rng, rows),
-    )
+    # np.clip's bounds, as two ufuncs (the same values, less overhead).
+    np.maximum(ratio, -1.0, out=ratio)
+    np.minimum(ratio, 1.0, out=ratio)
+    elevation = np.degrees(np.arcsin(ratio, out=ratio), out=ratio)
+    return elevation, rng
 
 
 def pair_source(
@@ -355,41 +352,43 @@ def pair_source(
     window_index=None,
     recorder=None,
 ) -> Pairs:
-    """The visible pairs at ``when``.
+    """The visible pairs at ``when``, and the fleet positions behind them.
 
-    On the step grid of ``window_index`` (a
-    :class:`~repro.scheduling.windows.ContactWindowIndex`) the pairs are
-    zero-copy slices of its CSR arrays.  Off that grid -- plan-horizon
+    The fleet is the ``ephemeris`` row at ``when`` (per-satellite
+    propagation when the row is missing), the row the window index was
+    scanned from.  On the step grid of ``window_index`` (a
+    :class:`~repro.scheduling.windows.ContactWindowIndex`) the pair ids
+    are zero-copy slices of its CSR arrays.  Off that grid -- plan-horizon
     look-ahead past the last step, a fleet whose batch propagation
     failed, callers without an index -- one :meth:`GeometryEngine.
-    scan_visible` step runs on the ``ephemeris`` row (or per-satellite
-    propagation when the row is missing), the same scan and arithmetic
-    that built the index, so both branches return identical rows for
-    the same instant.
+    scan_visible` step runs on the fleet, the same scan and arithmetic
+    that built the index.  Both branches return identical ids, and
+    :func:`pair_geometry` identical elevations and ranges, for the same
+    instant.
     """
     record = recorder is not None and recorder.enabled
-    if window_index is not None:
-        k = window_index.step_of(when)
-        if k is not None:
-            pairs = window_index.pairs_at(k)
-            if record:
-                recorder.counter("window_index_hits")
-                recorder.counter("visible_pairs", int(pairs[0].size))
-            return pairs
+    k = window_index.step_of(when) if window_index is not None else None
     sat_ecef = None
     if ephemeris is not None:
         sat_ecef = ephemeris.positions_ecef(when)
-    if record:
+    # The row counters describe what an off-grid scan ran on; an index
+    # hit is counted as one.
+    if record and k is None:
         recorder.counter(
             "ephemeris_row_hits" if sat_ecef is not None
             else "ephemeris_row_misses"
         )
     if sat_ecef is None:
         sat_ecef = geometry.satellite_ecef(satellites, when)
-    pairs = geometry.scan_visible(sat_ecef, recorder)
+    if k is not None:
+        pair_sat, pair_gs = window_index.pairs_at(k)
+        if record:
+            recorder.counter("window_index_hits")
+    else:
+        pair_sat, pair_gs = geometry.scan_visible(sat_ecef, recorder)
     if record:
-        recorder.counter("visible_pairs", int(pairs[0].size))
-    return pairs
+        recorder.counter("visible_pairs", int(pair_sat.size))
+    return pair_sat, pair_gs, sat_ecef
 
 
 def build_contact_graph(
@@ -544,7 +543,7 @@ def _mask_and_price(
     :func:`_price_pairs` in that order (matchers tie-break on it).  In
     the common unmasked case the pair arrays flow through without a copy.
     """
-    pair_sat, pair_gs, pair_elevation, pair_range = pairs
+    pair_sat, pair_gs, _positions = pairs
     num_sats = len(satellites)
     n = int(pair_sat.size)
     keep: np.ndarray | None = None  # None == every visible pair survives
@@ -602,17 +601,19 @@ def _price_pairs(
 
     The pricing half of :func:`_mask_and_price`: ``rows`` indexes the
     feasible entries of ``pairs`` (``None`` when every pair is feasible).
-    The kernel (:meth:`LinkBudget.evaluate_batch`) derives each pair's
-    path loss and slant-path terms from its range and elevation in-step,
-    so only the rows that survive the masks are ever priced.
+    Each priced pair's elevation and range come from :func:`pair_geometry`
+    on the fleet positions ``pairs`` carries, and the kernel
+    (:meth:`LinkBudget.evaluate_batch`) derives its path loss and
+    slant-path terms from them in-step, so only the rows that survive the
+    masks ever get geometry or a price.
 
     Weather is sampled for every feasible station first.  With a
     vectorized ``edge_values`` the fleet queue profile is refreshed for
     the satellites in view next, and pairs whose satellite has nothing
-    queued are dropped before any per-pair gather or kernel call: every
-    ``edge_values`` prices an empty queue at exactly 0.0 and zero-weight
-    edges are never kept, so the graph is unchanged.  The scalar
-    per-edge path prices every feasible pair.
+    queued are dropped before any geometry, per-pair gather or kernel
+    call: every ``edge_values`` prices an empty queue at exactly 0.0 and
+    zero-weight edges are never kept, so the graph is unchanged.  The
+    scalar per-edge path prices every feasible pair.
 
     ``weather_memo`` substitutes a per-station sample memo for the
     involved-station oracle loop; it issues the identical first call per
@@ -622,7 +623,7 @@ def _price_pairs(
     ``weather_sampling`` interval per build and its provider calls are
     counted as ``weather_samples``.
     """
-    pair_sat, pair_gs, pair_elevation, pair_range = pairs
+    pair_sat, pair_gs, positions = pairs
     sat_idx = pair_sat if rows is None else pair_sat[rows]
     gs_idx = pair_gs if rows is None else pair_gs[rows]
     if sat_idx.size == 0:
@@ -679,16 +680,15 @@ def _price_pairs(
         queue_profile.refresh(sat_idx[run_start])
         loaded = np.flatnonzero(queue_profile.counts_of(sat_idx))
         if loaded.size < sat_idx.size:
-            rows = loaded if rows is None else rows[loaded]
             sat_idx = sat_idx[loaded]
             gs_idx = gs_idx[loaded]
             if sat_idx.size == 0:
                 return _empty_columns()
-    if rows is not None:
-        pair_elevation = pair_elevation[rows]
-        pair_range = pair_range[rows]
     if recorder is not None and recorder.enabled:
         recorder.counter("priced_pairs", int(sat_idx.size))
+    pair_elevation, pair_range = pair_geometry(
+        geometry, positions, sat_idx, gs_idx
+    )
 
     # Group pairs by budget hardware class; the paper's scenarios collapse
     # to one or two classes, so the kernel runs once or twice per instant.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta
 
+from repro.scheduling.graph import ContactGraph
 from repro.scheduling.matching import Assignment
 from repro.scheduling.scheduler import DownlinkScheduler, ScheduleStep
 
@@ -49,11 +50,16 @@ class HorizonScheduler(DownlinkScheduler):
         self.replan_steps = replan_steps
         self._window_start: datetime | None = None
         self._window: dict[int, list[Assignment]] = {}
+        #: The window's priced graphs, one per step, kept until the next
+        #: re-plan so ``schedule_step(keep_graph=True)`` can return the
+        #: graph a step was planned on.
+        self._window_graphs: list[ContactGraph] = []
 
     # -- public interface --------------------------------------------------
 
     def schedule_step(self, when: datetime,
-                      forecast_issued_at: datetime | None = None) -> ScheduleStep:
+                      forecast_issued_at: datetime | None = None,
+                      keep_graph: bool = False) -> ScheduleStep:
         offset = self._window_offset(when)
         if offset is None or offset >= self.replan_steps:
             self._plan_window(when, forecast_issued_at)
@@ -63,6 +69,7 @@ class HorizonScheduler(DownlinkScheduler):
             when=when,
             assignments=assignments,
             num_edges=self._window_edge_count,
+            graph=self._window_graphs[offset] if keep_graph else None,
         )
 
     # -- internals -----------------------------------------------------------
@@ -119,3 +126,4 @@ class HorizonScheduler(DownlinkScheduler):
             window[k].append(Assignment.from_edge(edge))
         self._window_start = start
         self._window = window
+        self._window_graphs = graphs

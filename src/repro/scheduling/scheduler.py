@@ -28,8 +28,8 @@ from repro.scheduling.graph import (
     ContactGraph,
     GeometryEngine,
     PairGroupCache,
-    Pairs,
     build_contact_graph,
+    pair_geometry,
     pair_source,
 )
 from repro.scheduling.matching import (
@@ -401,18 +401,22 @@ class DownlinkScheduler:
             weather_memo=weather_memo,
         )
 
-    def visible_pairs(self, when: datetime) -> Pairs:
+    def visible_pairs(
+        self, when: datetime
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(sat, gs, elevation_deg, range_km)`` of every pair in sight.
 
         The contact graph's pair source: every pair above its station's
         elevation mask at ``when``, before outages, constraint bitmaps,
-        plan gating or pricing remove any.  It records no counters:
-        those count graph builds only.
+        plan gating or pricing remove any, with the geometry the pricing
+        tail would compute for it.  It records no counters: those count
+        graph builds only.
         """
-        return pair_source(
+        sat, gs, positions = pair_source(
             self.satellites, when, self._geometry, self.ephemeris,
             self.window_index,
         )
+        return (sat, gs) + pair_geometry(self._geometry, positions, sat, gs)
 
     def schedule_step(self, when: datetime,
                       forecast_issued_at: datetime | None = None,

@@ -4,19 +4,19 @@ The paper's core observation (Sec. 2) is that LEO contact structure is
 sparse and piecewise-constant: a pass lasts seven to ten minutes and a
 satellite sees a given station only two-to-three times a day.  Yet the
 per-step loop re-derives visibility from scratch every tick -- culling
-cosine math, elevation prescreen -- even on ticks where nothing rises or
-sets.  :class:`ContactWindowIndex` computes the pass structure **once**
+cosine math, the elevation-mask test -- even on ticks where nothing
+rises or sets.  :class:`ContactWindowIndex` computes the pass structure **once**
 per run: a single chronological scan over the shared
 :class:`~repro.orbits.ephemeris.EphemerisTable` runs
 :meth:`GeometryEngine.scan_visible` -- the candidate prefilter plus the
 exact elevation-mask test, the same scan an off-grid instant runs for
 one step -- and stores the visible pairs of every step as CSR arrays:
 
-* ``step_ptr[k]:step_ptr[k+1]`` slices the flat per-pair arrays
-  (``pair_sat``/``pair_gs``/``pair_elevation``/``pair_range``) for step
-  ``k``, in the row-major (satellite, station) order the graph's
-  pricing tail keeps.  A tick answers "which pairs are in a pass right
-  now" with two pointer reads -- O(active pairs), zero geometry.
+* ``step_ptr[k]:step_ptr[k+1]`` slices the flat pair-id arrays
+  (``pair_sat``/``pair_gs``) for step ``k``, in the row-major
+  (satellite, station) order the graph's pricing tail keeps.  A tick
+  answers "which pairs are in a pass right now" with two pointer reads
+  -- O(active pairs), zero geometry.
 * Runs of consecutive steps per (sat, station) pair become **half-open**
   interval records ``[rise_step, set_step)`` -- the
   :class:`~repro.orbits.passes.ContactWindow` boundary contract, so a
@@ -24,19 +24,21 @@ one step -- and stores the visible pairs of every step as CSR arrays:
 * ``boundary[k]`` flags ticks where some pair rises or sets; between
   boundaries the edge *topology* is constant.
 
-Because the stored elevations/ranges come from the same scan on the
-same ephemeris rows, an instant answers identically from the index and
+The index keeps pass structure only, no geometry: the pricing tail
+computes the elevation and range of the rows it prices, in-step, with
+:func:`~repro.scheduling.graph.pair_geometry` -- the scan's own
+arithmetic, elementwise -- on the same ephemeris row the index was
+scanned from.  So an instant answers identically from the index and
 from a one-step scan; ``tests/scheduling/test_differential.py`` checks
 both against the dense scalar oracle in ``tests/oracle.py``.
 
 The scan iterates steps chronologically in chunks of at most
 :data:`_SCAN_CHUNK_ROWS` (step, satellite) rows, so its transient
 memory stays bounded while the float64 ephemeris table and the index
-it produces stay whole.  The index is the larger of the two (38 vs
-8.5 MiB on the paper's 259 x 173 day, 129 vs 3.4 MiB for an hour of
-2500 x 1000): 24 B per stored (pair, step) row, 16 B per pass and 9 B
-per step.  It holds geometry only; the link budget prices the rows
-it serves from their range and elevation in-step.
+it produces stay whole.  The index costs 8 B per stored (pair, step)
+row (two int32 ids), 16 B per pass and 9 B per step: 14.8 MiB beside
+the ephemeris table's 8.5 MiB on the paper's 259 x 173 day, 49.8 vs
+3.4 MiB for an hour of 2500 x 1000.
 
 The scalar :class:`~repro.orbits.passes.PassPredictor` is the
 sub-second-precision reference for a single (satellite, site) pair; its
@@ -47,18 +49,25 @@ intervals (pinned by ``tests/scheduling/test_windows.py``).
 from __future__ import annotations
 
 from datetime import datetime, timedelta
+from typing import Callable
 
 import numpy as np
 
 from repro.groundstations.network import GroundStationNetwork
 from repro.orbits.passes import ContactWindow
 from repro.satellites.satellite import Satellite
-from repro.scheduling.graph import GeometryEngine, _budget_group_id
+from repro.scheduling.graph import (
+    GeometryEngine,
+    _budget_group_id,
+    pair_geometry,
+)
 
 #: Scan-chunk bound: stacked (step, satellite) rows per chunk.  A
 #: chunk's candidate and visibility temporaries are the scan's only
-#: transient memory, so this caps it (~100 MB at 2500 x 1000 stations).
-_SCAN_CHUNK_ROWS = 20_000
+#: transient memory, so this caps it (32 MB at 2500 x 1000 stations:
+#: four steps per chunk), which keeps the scan's peak below the ones
+#: the ephemeris build and interval extraction reach.
+_SCAN_CHUNK_ROWS = 10_000
 
 __all__ = [
     "ContactWindowIndex",
@@ -85,8 +94,6 @@ class ContactWindowIndex:
         step_ptr: np.ndarray,
         pair_sat: np.ndarray,
         pair_gs: np.ndarray,
-        pair_elevation: np.ndarray,
-        pair_range: np.ndarray,
         window_sat: np.ndarray,
         window_gs: np.ndarray,
         window_rise_step: np.ndarray,
@@ -101,8 +108,6 @@ class ContactWindowIndex:
         self.step_ptr = step_ptr
         self.pair_sat = pair_sat
         self.pair_gs = pair_gs
-        self.pair_elevation = pair_elevation
-        self.pair_range = pair_range
         #: One record per pass: pair endpoints and half-open step span
         #: ``[rise_step, set_step)`` (the pair is visible at every step in
         #: the span and at neither endpoint's outside neighbour).
@@ -165,17 +170,17 @@ class ContactWindowIndex:
                 else:
                     block = geometry.satellite_ecef(satellites, when)
                 blocks.append(block)
-            step_counts, sat, gs, elev, rng = _scan_chunk(
+            step_counts, sat, gs = _scan_chunk(
                 np.concatenate(blocks, axis=0), c1 - c0, num_sats, geometry,
             )
             counts[c0 + 1:c1 + 1] = step_counts
-            rows.append(c1 - c0, sat, gs, elev, rng)
+            rows.append(c1 - c0, sat, gs)
             # Free the chunk before the next one is scanned.
-            del sat, gs, elev, rng
+            del sat, gs
 
         step_ptr = np.cumsum(counts)
         total = int(step_ptr[-1])
-        pair_sat, pair_gs, pair_elevation, pair_range = rows.finish()
+        pair_sat, pair_gs = rows.finish()
 
         window_sat, window_gs, window_rise, window_set = _extract_windows(
             pair_sat, pair_gs, step_ptr, num_sats, num_stations
@@ -209,8 +214,6 @@ class ContactWindowIndex:
             step_ptr=step_ptr,
             pair_sat=pair_sat,
             pair_gs=pair_gs,
-            pair_elevation=pair_elevation,
-            pair_range=pair_range,
             window_sat=window_sat,
             window_gs=window_gs,
             window_rise_step=window_rise,
@@ -233,23 +236,17 @@ class ContactWindowIndex:
             return None
         return ki
 
-    def pairs_at(
-        self, k: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Visible ``(sat, gs, elevation_deg, range_km)`` views at step ``k``.
+    def pairs_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Visible ``(sat, gs)`` id views at step ``k``.
 
         Zero-copy slices of the CSR arrays, row-major by (sat, station) --
-        the exact pair set and values the per-step elevation-mask test
-        produces at this instant.
+        the exact pair set the per-step elevation-mask test produces at
+        this instant.  :func:`~repro.scheduling.graph.pair_geometry` on
+        the step's fleet row gives their elevations and ranges.
         """
         lo = self.step_ptr[k]
         hi = self.step_ptr[k + 1]
-        return (
-            self.pair_sat[lo:hi],
-            self.pair_gs[lo:hi],
-            self.pair_elevation[lo:hi],
-            self.pair_range[lo:hi],
-        )
+        return self.pair_sat[lo:hi], self.pair_gs[lo:hi]
 
     def active_count(self, k: int) -> int:
         """Number of pairs in a pass at step ``k`` (two pointer reads)."""
@@ -261,47 +258,54 @@ class ContactWindowIndex:
 
     # -- pass-level queries ----------------------------------------------
 
-    def windows_for(self, sat_index: int, gs_index: int) -> list[ContactWindow]:
+    def windows_for(
+        self,
+        sat_index: int,
+        gs_index: int,
+        geometry: GeometryEngine,
+        positions_ecef: Callable[[datetime], np.ndarray],
+    ) -> list[ContactWindow]:
         """Step-sampled :class:`ContactWindow` records for one pair.
 
         ``rise_time``/``set_time`` are grid instants (half-open:
         ``set_time`` is the first step *below* the mask), so the scalar
         :class:`~repro.orbits.passes.PassPredictor`'s sub-second crossing
         times always bracket them: ``predictor_rise <= rise_time`` and
-        ``set_time <= predictor_set + step_s``.
+        ``set_time <= predictor_set + step_s``.  The culmination is the
+        pass step of highest elevation (the first, on a tie), computed by
+        :func:`~repro.scheduling.graph.pair_geometry` from
+        ``positions_ecef(when)``: the fleet rows the index was scanned
+        from, e.g. ``EphemerisTable.positions_ecef``.
         """
-        mine = np.nonzero(
+        mine = np.flatnonzero(
             (self.window_sat == sat_index) & (self.window_gs == gs_index)
-        )[0]
-        key = sat_index * self.num_stations + gs_index
+        )
         out: list[ContactWindow] = []
         for w in mine.tolist():
             rise = int(self.window_rise_step[w])
             set_ = int(self.window_set_step[w])
-            best_elev = -90.0
-            best_step = rise
-            for k in range(rise, set_):
-                lo = int(self.step_ptr[k])
-                hi = int(self.step_ptr[k + 1])
-                keys = (
-                    self.pair_sat[lo:hi].astype(np.int64) * self.num_stations
-                    + self.pair_gs[lo:hi]
-                )
-                p = int(np.searchsorted(keys, key))
-                elev = float(self.pair_elevation[lo + p])
-                if elev > best_elev:
-                    best_elev = elev
-                    best_step = k
+            track = np.array([
+                positions_ecef(self._instant(k))[sat_index]
+                for k in range(rise, set_)
+            ])
+            steps = np.arange(set_ - rise)
+            elevation = pair_geometry(
+                geometry, track, steps, np.full_like(steps, gs_index)
+            )[0]
+            best = int(np.argmax(elevation))
             out.append(
                 ContactWindow(
-                    rise_time=self.start + timedelta(seconds=rise * self.step_s),
-                    set_time=self.start + timedelta(seconds=set_ * self.step_s),
-                    culmination_time=self.start
-                    + timedelta(seconds=best_step * self.step_s),
-                    max_elevation_deg=best_elev,
+                    rise_time=self._instant(rise),
+                    set_time=self._instant(set_),
+                    culmination_time=self._instant(rise + best),
+                    max_elevation_deg=float(elevation[best]),
                 )
             )
         return out
+
+    def _instant(self, k: int) -> datetime:
+        """Grid step ``k``'s instant, as the build scanned it."""
+        return self.start + timedelta(seconds=k * self.step_s)
 
 
 def _scan_chunk(
@@ -309,24 +313,18 @@ def _scan_chunk(
     span: int,
     num_sats: int,
     geometry: GeometryEngine,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visible rows of one stacked chunk of ``span`` steps.
 
     ``stacked`` holds the chunk's fleet positions, step-major.  Returns
-    the per-step row counts and compact ``(sat, gs, elevation, range)``
-    columns in (step, satellite, station) order -- CSR order already.
-    The candidate and visibility temporaries die with this frame, so a
-    scan never holds more than one chunk of them.
+    the per-step row counts and the ``(sat, gs)`` id columns in (step,
+    satellite, station) order -- CSR order already.  The candidate and
+    visibility temporaries die with this frame, so a scan never holds
+    more than one chunk of them.
     """
-    glob, gi, elev, rng = geometry.scan_visible(stacked)
+    glob, gi = geometry.scan_visible(stacked)
     krow = glob // num_sats
-    return (
-        np.bincount(krow, minlength=span),
-        glob - krow * num_sats,
-        gi,
-        elev,
-        rng,
-    )
+    return np.bincount(krow, minlength=span), glob - krow * num_sats, gi
 
 
 def _extract_windows(
@@ -377,19 +375,19 @@ def _extract_windows(
 
 
 class _RowStore:
-    """The scan's visible rows, copied chunk by chunk into four columns.
+    """The scan's visible ``(sat, gs)`` ids, copied chunk by chunk.
 
-    ``(sat, gs)`` are stored as int32, ``(elevation, range)`` as float64.
-    Each chunk is copied in and freed before the next one is scanned, so
-    no list of chunk arrays sits in the heap beside the columns built
-    from it (the allocator kept that memory resident after the build).
+    Both columns are stored as int32.  Each chunk is copied in and freed
+    before the next one is scanned, so no list of chunk arrays sits in
+    the heap beside the columns built from it (the allocator kept that
+    memory resident after the build).
     Capacity is projected from the rows per step seen so far over the
     whole grid, plus 1/8 slack; a chunk that does not fit re-projects it
     and copies the columns once into larger arrays, and :meth:`finish`
     trims the unused tail in place.
     """
 
-    _DTYPES = (np.int32, np.int32, np.float64, np.float64)
+    _DTYPES = (np.int32, np.int32)
 
     def __init__(self, num_steps: int):
         self.num_steps = num_steps
@@ -414,7 +412,7 @@ class _RowStore:
         self.size = end
 
     def finish(self) -> list[np.ndarray]:
-        """The four columns, trimmed to the rows stored."""
+        """The two columns, trimmed to the rows stored."""
         for column in self.columns:
             column.resize(self.size, refcheck=False)
         return self.columns
@@ -429,8 +427,8 @@ class _RowStore:
 # dictionary hit.  Soundness: the index content is a pure function of
 # the ephemeris table (keyed by object -- the ephemeris cache already
 # interns tables by TLE elements / start / step), the station geometry
-# + mask fingerprint, and the step grid.  It holds geometry only, no
-# pricing terms, so schedulers with different hardware classes share
+# + mask fingerprint, and the step grid.  It holds pass structure only,
+# no pricing terms, so schedulers with different hardware classes share
 # it; a hit replays just the caller's own class pre-resolution.
 # --------------------------------------------------------------------------
 

@@ -384,9 +384,7 @@ class Simulation:
             # matched primary transmits as usual while otherwise-idle
             # stations that can see the satellite record the same stream,
             # picked from the kept graph; the backend combiner keeps
-            # whichever copy decodes.  keep_graph is passed in diversity
-            # mode only: the horizon and beamforming schedulers do not
-            # take it, and diversity mode rules them out.
+            # whichever copy decodes.
             diversity = cfg.execution_mode == "diversity"
             with rec.span("schedule"):
                 step = self.scheduler.schedule_step(
@@ -395,7 +393,7 @@ class Simulation:
                         self._last_forecast_issue if cfg.use_forecast
                         else None
                     ),
-                    **({"keep_graph": True} if diversity else {}),
+                    keep_graph=diversity,
                 )
             with rec.span("execute"):
                 if diversity:

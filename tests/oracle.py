@@ -9,7 +9,9 @@ are checked against, and the only place the reference lives:
   one elementwise pass, no prefilter;
 * :func:`pair_visibility` -- the same arithmetic on candidate pairs only,
   written the plain way (whole-row gathers, ``np.linalg.norm``,
-  ``np.einsum``), for checking the scan's reordered per-component form;
+  ``np.einsum``), for checking the reordered per-component form of
+  :func:`~repro.scheduling.graph.pair_geometry`, which the scan, the
+  pricing tail and the pass records share;
 * :func:`scalar_edges` -- one :meth:`LinkBudget.evaluate` and one
   ``ValueFunction.edge_value`` call per visible pair, weather sampled per
   station;
@@ -73,26 +75,26 @@ def pair_visibility(
     """Per-candidate ``(elevation_deg, range_km, visible)``.
 
     Subtract, norm, 3-term dot and arcsin per pair, on ``(R, 3)`` row
-    gathers.  Pairs the sine-space prescreen drops read -90 deg.
+    gathers.
     """
     rel = sat_ecef[sat_idx] - geometry._station_ecef[gs_idx]
     rng = np.linalg.norm(rel, axis=1)
     up_component = np.einsum("ij,ij->i", rel, zenith(geometry)[gs_idx])
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.clip(up_component / rng, -1.0, 1.0)
-    sin_mask = np.sin(np.radians(geometry._min_elevation))
-    maybe = np.nonzero(ratio >= sin_mask[gs_idx] - 1e-9)[0]
-    elevation = np.full(ratio.shape, -90.0)
-    visible = np.zeros(ratio.shape, dtype=bool)
-    if maybe.size:
-        elev_maybe = np.degrees(np.arcsin(ratio[maybe]))
-        elevation[maybe] = elev_maybe
-        visible[maybe] = elev_maybe > geometry._min_elevation[gs_idx[maybe]]
+        elevation = np.degrees(
+            np.arcsin(np.clip(up_component / rng, -1.0, 1.0))
+        )
+    visible = elevation > geometry._min_elevation[gs_idx]
     return elevation, rng, visible
 
 
 def oracle_scan(geometry: GeometryEngine, positions: np.ndarray):
-    """:meth:`GeometryEngine.scan_visible` rows via :func:`pair_visibility`."""
+    """The visible ``(row, station, elevation_deg, range_km)`` of a block.
+
+    :meth:`GeometryEngine.scan_visible`'s ids, with the geometry
+    :func:`~repro.scheduling.graph.pair_geometry` derives for them, via
+    :func:`pair_visibility`.
+    """
     sat_idx, gs_idx = geometry.grid.candidate_pairs(positions)
     elevation, rng, visible = pair_visibility(
         geometry, positions, sat_idx, gs_idx

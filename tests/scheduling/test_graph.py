@@ -7,7 +7,11 @@ import pytest
 
 from repro.core.api import DGSNetwork
 from repro.satellites.satellite import Satellite
-from repro.scheduling.graph import GeometryEngine, build_contact_graph
+from repro.scheduling.graph import (
+    GeometryEngine,
+    build_contact_graph,
+    pair_geometry,
+)
 from repro.scheduling.value_functions import LatencyValue, ThroughputValue
 from repro.weather.cells import WeatherSample
 from repro.weather.provider import ClearSkyProvider
@@ -42,12 +46,17 @@ def budget_factory(network):
 
 
 def _scan_over_a_day(engine, fleet):
-    """(instant, scan rows, dense oracle matrices) every 20 minutes."""
+    """(instant, scan rows, dense oracle matrices) every 20 minutes.
+
+    A scan row is a visible pair's ids with the elevation and range
+    :func:`pair_geometry` derives for it.
+    """
     for minute in range(0, 1440, 20):
         when = EPOCH + timedelta(minutes=minute)
         sat_ecef = engine.satellite_ecef(fleet, when)
-        yield when, engine.scan_visible(sat_ecef), \
-            dense_visibility(engine, sat_ecef)
+        sat, gs = engine.scan_visible(sat_ecef)
+        rows = (sat, gs) + pair_geometry(engine, sat_ecef, sat, gs)
+        yield when, rows, dense_visibility(engine, sat_ecef)
 
 
 class TestGeometryEngine:

@@ -114,9 +114,9 @@ class TestWindowIndexWiring:
         calls = []
         schedule_step = scheduler.schedule_step
 
-        def counted(when, forecast_issued_at=None):
+        def counted(when, forecast_issued_at=None, keep_graph=False):
             calls.append(when)
-            return schedule_step(when, forecast_issued_at)
+            return schedule_step(when, forecast_issued_at, keep_graph)
 
         scheduler.schedule_step = counted
         sim.run()

@@ -2,9 +2,14 @@
 
 Report digests only catch a bit change that happens to move a report.
 These sha256 values cover every CSR array and pass record of two small
-scenarios; they were recorded from the plain row-gather scan
-(``tests.oracle.pair_visibility``), so any rework of the scan or the
-build for speed has to reproduce them.
+scenarios, and the elevation and range of every stored row; they were
+recorded from the plain row-gather scan (``tests.oracle.pair_visibility``),
+so any rework of the scan, the build or the geometry for speed has to
+reproduce them.
+
+The index stores pair ids only.  The float columns are what the pricing
+tail reads for those rows: :func:`pair_geometry` on each step's ids and
+the scenario's ephemeris row for that step, concatenated in CSR order.
 
 The integer arrays are pinned everywhere.  The float columns come out of
 numpy's arcsin kernel, which rounds differently on other numpy builds
@@ -19,6 +24,7 @@ import pytest
 
 from repro.core.scenarios import ScenarioSpec
 from repro.orbits.ephemeris import clear_ephemeris_cache
+from repro.scheduling.graph import pair_geometry
 from repro.scheduling.windows import clear_window_index_cache
 
 try:
@@ -76,11 +82,11 @@ def _digest(array: np.ndarray) -> str:
 
 
 @pytest.fixture(scope="module")
-def indexes():
+def simulations():
     clear_ephemeris_cache()
     clear_window_index_cache()
     built = {
-        name: ScenarioSpec.dgs(**kwargs).build().simulation.window_index
+        name: ScenarioSpec.dgs(**kwargs).build().simulation
         for name, kwargs in SCENARIOS.items()
     }
     clear_ephemeris_cache()
@@ -88,9 +94,24 @@ def indexes():
     return built
 
 
+def _row_geometry(simulation) -> dict[str, np.ndarray]:
+    """Elevation and range of every stored row, step by step from the
+    ephemeris rows the index was scanned from."""
+    index = simulation.window_index
+    geometry = simulation.scheduler._geometry
+    columns = [
+        pair_geometry(
+            geometry, simulation.ephemeris.positions[k], *index.pairs_at(k)
+        )
+        for k in range(index.num_steps)
+    ]
+    elevation, rng = (np.concatenate(parts) for parts in zip(*columns))
+    return {"pair_elevation": elevation, "pair_range": rng}
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_integer_arrays(indexes, scenario):
-    index = indexes[scenario]
+def test_integer_arrays(simulations, scenario):
+    index = simulations[scenario].window_index
     for name in INTEGER_ARRAYS:
         assert _digest(getattr(index, name)) == DIGESTS[scenario][name], name
 
@@ -101,9 +122,9 @@ def test_integer_arrays(indexes, scenario):
     reason="float digests were recorded with numpy 2.4.6 AVX512_SKX kernels",
 )
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_float_columns(indexes, scenario):
-    index = indexes[scenario]
-    got = {name: _digest(getattr(index, name)) for name in FLOAT_ARRAYS}
+def test_float_columns(simulations, scenario):
+    columns = _row_geometry(simulations[scenario])
+    got = {name: _digest(columns[name]) for name in FLOAT_ARRAYS}
     want = {name: value for name, value in DIGESTS[scenario].items()
             if name not in INTEGER_ARRAYS}
     assert got == want

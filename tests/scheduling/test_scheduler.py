@@ -4,9 +4,12 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from repro.scheduling.beamforming import BeamformingScheduler
+from repro.scheduling.graph import ContactGraph
+from repro.scheduling.horizon import HorizonScheduler
 from repro.scheduling.matching import is_stable
 from repro.scheduling.scheduler import DownlinkScheduler
-from repro.scheduling.value_functions import LatencyValue
+from repro.scheduling.value_functions import LatencyValue, ThroughputValue
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -95,3 +98,52 @@ class TestBuildPlan:
     def test_invalid_horizon(self, scheduler):
         with pytest.raises(ValueError):
             scheduler.build_plan(EPOCH, horizon_s=0.0)
+
+
+#: One constructor per scheduler family.
+FAMILIES = {
+    "instant": lambda fleet, network: DownlinkScheduler(
+        fleet, network, LatencyValue()
+    ),
+    "horizon": lambda fleet, network: HorizonScheduler(
+        fleet, network, LatencyValue(), horizon_steps=4, replan_steps=2
+    ),
+    "beamforming": lambda fleet, network: BeamformingScheduler(
+        fleet, network, ThroughputValue(), beams=2
+    ),
+}
+
+
+class TestKeepGraph:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_keep_graph_returns_the_graph_and_nothing_else(
+        self, small_fleet, small_network, family
+    ):
+        """Every family takes ``keep_graph``.  Twin schedulers stepped
+        with and without it match identically; only the one that asks
+        gets a graph back, and it is the graph the step was matched
+        on: the step's instant, holding every assigned pair."""
+        for sat in small_fleet:
+            sat.generate_data(EPOCH - timedelta(hours=2), 7200.0)
+        make = FAMILIES[family]
+        kept = make(small_fleet, small_network)
+        dropped = make(small_fleet, small_network)
+        start = first_active_instant(
+            DownlinkScheduler(small_fleet, small_network, LatencyValue())
+        )
+        assigned = 0
+        for k in range(6):
+            when = start + timedelta(seconds=60.0 * k)
+            with_graph = kept.schedule_step(when, keep_graph=True)
+            without = dropped.schedule_step(when, keep_graph=False)
+            assert with_graph.assignments == without.assignments
+            assert without.graph is None
+            graph = with_graph.graph
+            assert isinstance(graph, ContactGraph)
+            assert graph.when == when
+            edges = {(e.satellite_index, e.station_index)
+                     for e in graph.edges}
+            for a in with_graph.assignments:
+                assert (a.satellite_index, a.station_index) in edges
+            assigned += len(with_graph.assignments)
+        assert assigned > 0

@@ -3,12 +3,14 @@
 Equivalence against the dense scalar oracle lives in
 ``test_windows_equivalence.py``; this file pins the index's own
 contracts -- that the stored per-step pair sets are exactly what direct
-dense geometry computes, that pass intervals are half-open ``[rise, set)``,
-that the scalar :class:`PassPredictor` brackets the step-sampled
-windows, that scan-chunk sizes bound memory without changing a bit of
-the result, that the index holds exactly its documented arrays and no
-per-row pricing columns, and that the session cache returns the same
-object without re-scanning.
+dense geometry computes, and the geometry derived for them exactly its
+elevations and ranges, that pass intervals are half-open ``[rise, set)``
+and their culminations the dense maximum, that the scalar
+:class:`PassPredictor` brackets the step-sampled windows, that
+scan-chunk sizes bound memory without changing a bit of the result, that
+the index holds exactly its documented arrays -- pair ids, no per-row
+geometry or pricing columns -- and that the session cache returns the
+same object without re-scanning.
 """
 
 from datetime import datetime, timedelta
@@ -24,7 +26,7 @@ from repro.orbits.constellation import synthetic_leo_constellation
 from repro.orbits.ephemeris import clear_ephemeris_cache, shared_ephemeris_table
 from repro.orbits.passes import PassPredictor
 from repro.satellites.satellite import Satellite
-from repro.scheduling.graph import GeometryEngine, PairGroupCache
+from repro.scheduling.graph import GeometryEngine, PairGroupCache, pair_geometry
 from repro.scheduling.windows import (
     ContactWindowIndex,
     _extract_windows,
@@ -60,9 +62,17 @@ def _build(satellites, network, num_steps=NUM_STEPS, **kwargs):
     )
 
 
+def _propagated(geometry, satellites):
+    """Fleet positions at an instant, as an index built without an
+    ephemeris table scans them."""
+    return lambda when: geometry.satellite_ecef(satellites, when)
+
+
 class TestCsrAgainstDirectGeometry:
     def test_pairs_match_dense_visibility_bitwise(self):
-        """Every step's stored pairs/elevations/ranges == direct geometry."""
+        """Every step's stored pairs == direct geometry's visible pairs,
+        and the elevations and ranges derived for them on the step's
+        fleet row == the dense matrices', bit for bit."""
         satellites = _fleet()
         network = satnogs_like_network(30, seed=13)
         geometry = GeometryEngine(network)
@@ -72,11 +82,11 @@ class TestCsrAgainstDirectGeometry:
         total_pairs = 0
         for k in range(NUM_STEPS):
             when = EPOCH + timedelta(seconds=k * STEP_S)
-            elevation, rng_km, visible = dense_visibility(
-                geometry, geometry.satellite_ecef(satellites, when)
-            )
+            sat_ecef = geometry.satellite_ecef(satellites, when)
+            elevation, rng_km, visible = dense_visibility(geometry, sat_ecef)
             vs, vg = np.nonzero(visible)
-            sat, gs, elev, rng = index.pairs_at(k)
+            sat, gs = index.pairs_at(k)
+            elev, rng = pair_geometry(geometry, sat_ecef, sat, gs)
             assert np.array_equal(sat, vs.astype(np.int32))
             assert np.array_equal(gs, vg.astype(np.int32))
             # Bitwise: same elementwise arithmetic on the same positions.
@@ -101,7 +111,7 @@ class TestCsrAgainstDirectGeometry:
                 assert pair not in from_windows[k]  # no overlapping passes
                 from_windows[k].add(pair)
         for k in range(NUM_STEPS):
-            sat, gs, _, _ = index.pairs_at(k)
+            sat, gs = index.pairs_at(k)
             assert from_windows[k] == set(zip(sat.tolist(), gs.tolist()))
 
     def test_boundary_flags(self):
@@ -111,7 +121,7 @@ class TestCsrAgainstDirectGeometry:
         index = _build(satellites, network)
         previous: set = set()
         for k in range(NUM_STEPS):
-            sat, gs, _, _ = index.pairs_at(k)
+            sat, gs = index.pairs_at(k)
             current = set(zip(sat.tolist(), gs.tolist()))
             if k == 0:
                 assert index.boundary[0]
@@ -121,9 +131,8 @@ class TestCsrAgainstDirectGeometry:
 
 
 _INDEX_ARRAYS = (
-    "step_ptr", "pair_sat", "pair_gs", "pair_elevation", "pair_range",
-    "window_sat", "window_gs", "window_rise_step", "window_set_step",
-    "boundary",
+    "step_ptr", "pair_sat", "pair_gs", "window_sat", "window_gs",
+    "window_rise_step", "window_set_step", "boundary",
 )
 
 
@@ -200,19 +209,20 @@ class TestIndexLayout:
     def test_bytes_per_row_window_and_step(self):
         """Every array the index holds, and nothing per row beyond them.
 
-        24 B per stored row (int32 satellite and station, float64
-        elevation and range), 16 B per pass record (four int32), 9 B per
-        step (an int64 pointer and a bool boundary flag) and the
-        pointer array's closing 8 B.  Pricing a row reads its range and
-        elevation in-step, so no per-row pricing column may come back,
-        whatever hardware classes the build pre-resolves.
+        8 B per stored row (int32 satellite and station), 16 B per
+        pass record (four int32), 9 B per step (an int64 pointer and a
+        bool boundary flag) and the pointer array's closing 8 B.
+        Pricing a row derives its range and elevation in-step from the
+        fleet row, so no per-row geometry or pricing column may come
+        back, whatever hardware classes the build pre-resolves, and the
+        index may not hold the fleet positions either.
         """
         index, pair_groups = _two_class_build()
         assert len(pair_groups.budget_of) == 2
         rows = int(index.step_ptr[-1])
         assert rows > 0
         assert sum(a.nbytes for a in _held_arrays(index)) == (
-            24 * rows + 16 * index.num_windows + 9 * index.num_steps + 8
+            8 * rows + 16 * index.num_windows + 9 * index.num_steps + 8
         )
 
 
@@ -266,8 +276,7 @@ class TestRowStore:
         store = _RowStore(sum(steps for steps, _rows in sizes))
         chunks = []
         for steps, rows in sizes:
-            chunk = (rng.integers(0, 1000, rows), rng.integers(0, 50, rows),
-                     rng.normal(size=rows), rng.normal(size=rows))
+            chunk = (rng.integers(0, 1000, rows), rng.integers(0, 50, rows))
             store.append(steps, *chunk)
             chunks.append(chunk)
         got = store.finish()
@@ -303,7 +312,7 @@ class TestHalfOpenBoundaries:
             set_ = int(index.window_set_step[w])
 
             def present(k):
-                sat, gs, _, _ = index.pairs_at(k)
+                sat, gs = index.pairs_at(k)
                 return pair in set(zip(sat.tolist(), gs.tolist()))
 
             assert present(rise) and present(set_ - 1)
@@ -317,16 +326,52 @@ class TestHalfOpenBoundaries:
     def test_windows_for_contains_respects_half_open_set(self):
         satellites = _fleet()
         network = satnogs_like_network(30, seed=13)
-        index = _build(satellites, network)
+        geometry = GeometryEngine(network)
+        index = _build(satellites, network, geometry=geometry)
+        positions = _propagated(geometry, satellites)
         found = 0
         for w in range(min(index.num_windows, 10)):
             sat = int(index.window_sat[w])
             gs = int(index.window_gs[w])
-            for window in index.windows_for(sat, gs):
+            for window in index.windows_for(sat, gs, geometry, positions):
                 assert window.contains(window.rise_time)
                 assert not window.contains(window.set_time)
                 found += 1
         assert found > 0
+
+
+class TestCulmination:
+    def test_max_elevation_is_the_dense_maximum_over_the_pass(self):
+        """``windows_for``'s culmination, from the ephemeris rows the
+        index was scanned from, is the dense oracle's highest elevation
+        over the pass's steps (the first such step on a tie)."""
+        satellites = _fleet()
+        network = satnogs_like_network(30, seed=13)
+        geometry = GeometryEngine(network)
+        table = shared_ephemeris_table(satellites, EPOCH, NUM_STEPS, STEP_S)
+        index = _build(satellites, network, geometry=geometry,
+                       ephemeris=table)
+        dense = [
+            dense_visibility(geometry, table.positions[k])
+            for k in range(NUM_STEPS)
+        ]
+        pairs = sorted(set(zip(index.window_sat.tolist(),
+                               index.window_gs.tolist())))
+        checked = 0
+        for i, j in pairs[:40]:
+            for window in index.windows_for(i, j, geometry,
+                                            table.positions_ecef):
+                rise = index.step_of(window.rise_time)
+                set_ = index.step_of(window.set_time) or NUM_STEPS
+                elevation = [dense[k][0][i, j] for k in range(rise, set_)]
+                assert all(dense[k][2][i, j] for k in range(rise, set_))
+                best = int(np.argmax(elevation))
+                assert window.max_elevation_deg == elevation[best]
+                assert window.culmination_time == EPOCH + timedelta(
+                    seconds=(rise + best) * STEP_S
+                )
+                checked += 1
+        assert checked > 0
 
 
 class TestPassPredictorBracket:
@@ -340,13 +385,15 @@ class TestPassPredictorBracket:
         """
         satellites = _fleet(12, seed=5)
         network = satnogs_like_network(12, seed=13)
-        index = _build(satellites, network)
+        geometry = GeometryEngine(network)
+        index = _build(satellites, network, geometry=geometry)
+        positions = _propagated(geometry, satellites)
         end = EPOCH + timedelta(seconds=NUM_STEPS * STEP_S)
         step = timedelta(seconds=STEP_S)
         matched = 0
         for i, sat in enumerate(satellites):
             for j, station in enumerate(network):
-                grid_windows = index.windows_for(i, j)
+                grid_windows = index.windows_for(i, j, geometry, positions)
                 if not grid_windows:
                     continue
                 predictor = PassPredictor(
@@ -431,4 +478,5 @@ class TestSharedIndexCache:
         )
         assert rebuilt is not first
         assert np.array_equal(rebuilt.step_ptr, first.step_ptr)
-        assert np.array_equal(rebuilt.pair_elevation, first.pair_elevation)
+        assert np.array_equal(rebuilt.pair_sat, first.pair_sat)
+        assert np.array_equal(rebuilt.pair_gs, first.pair_gs)
