@@ -31,7 +31,7 @@ from repro.scheduling.matching import (
 )
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
-from tests.oracle import use_oracle
+from tests.oracle import columns_from_edges, use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -242,8 +242,8 @@ def dense_graph(world):
             )
         from repro.scheduling.graph import ContactGraph
 
-        graph = ContactGraph(EPOCH, edges, graph.num_satellites,
-                             graph.num_stations)
+        graph = ContactGraph(EPOCH, columns_from_edges(edges),
+                             graph.num_satellites, graph.num_stations)
     return graph
 
 

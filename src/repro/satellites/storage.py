@@ -58,7 +58,7 @@ class OnboardStorage:
         self.dropped_bits = 0.0
         self._dirty = False
         #: Send-queue mutation counter.  Bumped by every operation that can
-        #: change what :meth:`prefix_age_value` would return (capture,
+        #: change what :meth:`queue_snapshot` would return (capture,
         #: transmit, requeue); fleet-level pricing caches compare it to
         #: decide whether their snapshot of this queue is still valid.
         self.version = 0
@@ -238,10 +238,11 @@ class OnboardStorage:
         """Sorted send-queue state for vectorized pricing.
 
         Returns ``(remaining_bits, size_bits, capture_times, backlog_bits,
-        head_size_bits)`` in send order -- exactly the fields (and the
-        iteration order) :meth:`prefix_age_value` consumes, so a batch
-        evaluation over this snapshot reproduces its results bit for bit.
-        Pair with :attr:`version` to know when the snapshot goes stale.
+        head_size_bits)`` in send order -- the fields (and the iteration
+        order) latency pricing walks the queue prefix in, so a batch
+        evaluation over this snapshot reproduces a per-chunk walk of the
+        queue bit for bit.  Pair with :attr:`version` to know when the
+        snapshot goes stale.
         """
         self._sort()
         remaining = [c.remaining_bits for c in self._onboard]
@@ -262,27 +263,3 @@ class OnboardStorage:
         tenant_ids = [c.tenant_id for c in self._onboard]
         deadlines = [c.deadline for c in self._onboard]
         return tenant_ids, deadlines
-
-    def prefix_age_value(self, bits_budget: float, now: datetime) -> float:
-        """Summed age (seconds, chunk-weighted) of the data a link could move.
-
-        This is the paper's latency value function evaluated on the subset
-        x that actually fits in a scheduling step: sum over the queue
-        prefix of (chunk age) x (fraction of the chunk that fits).  A
-        faster link moves more old chunks and therefore carries more
-        value; a satellite with stale data outweighs a fresh one at equal
-        rate.
-        """
-        if bits_budget <= 0.0:
-            return 0.0
-        self._sort()
-        value = 0.0
-        remaining_budget = bits_budget
-        for chunk in self._onboard:
-            if remaining_budget <= 0.0:
-                break
-            sendable = min(chunk.remaining_bits, remaining_budget)
-            age_s = max(0.0, (now - chunk.capture_time).total_seconds())
-            value += age_s * (sendable / chunk.size_bits)
-            remaining_budget -= sendable
-        return value

@@ -21,6 +21,7 @@ from repro.scheduling.value_functions import (
     CompositeValue,
     DeadlineSlaValue,
     LatencyValue,
+    PerEdgeValue,
     PriorityValue,
     ThroughputValue,
     ValueFunction,
@@ -48,6 +49,7 @@ __all__ = [
     "PriorityValue",
     "AuctionValue",
     "CompositeValue",
+    "PerEdgeValue",
     "ContactEdge",
     "ContactGraph",
     "build_contact_graph",

@@ -20,10 +20,15 @@ the edge weight is the value function applied to the link-model bitrate.
    gating), derives the elevation and range of the rows it prices
    (:func:`pair_geometry`, the scan's own arithmetic) and prices them
    through the batched link-budget kernel
-   (:meth:`LinkBudget.evaluate_batch`) and the value function.
+   (:meth:`LinkBudget.evaluate_batch`) and the value function's
+   ``edge_values``.
 
-The scalar per-pair reference path and the dense ``M x N`` visibility
-matrix live on only as the test oracle (``tests/oracle.py``).
+The graph is :class:`EdgeColumns` arrays from end to end; a per-edge
+:class:`ContactEdge` exists only when a caller reads
+:attr:`ContactGraph.edges`.  The scalar per-pair reference path (one
+link-budget and one per-edge value call per pair) and the dense
+``M x N`` visibility matrix live on only as the test oracle
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +47,11 @@ from repro.orbits.frames import geodetic_to_ecef
 from repro.orbits.timebase import datetime_to_jd, gmst_rad
 from repro.satellites.satellite import Satellite
 from repro.scheduling.culling import StationGrid, _take
-from repro.scheduling.value_functions import ValueFunction
+from repro.scheduling.value_functions import (
+    FleetQueueProfile,
+    ValueFunction,
+    _run_starts,
+)
 from repro.weather.cells import WeatherSample
 
 if TYPE_CHECKING:
@@ -80,11 +89,10 @@ class ContactEdge(NamedTuple):
 class EdgeColumns(NamedTuple):
     """Column-array form of a graph's edges, in edge order.
 
-    The sparse contact-graph representation: seven parallel arrays
-    instead of a list of :class:`ContactEdge` objects.  The pricing tail
-    produces this directly (never constructing per-edge objects) and the
-    matchers consume it directly, so at mega-constellation scale no
-    per-edge Python object exists unless something asks for ``.edges``.
+    The contact graph's one representation: seven parallel arrays, one
+    entry per edge, with the fields of :class:`ContactEdge`.  The
+    pricing tail produces it and the matchers consume it, so no per-edge
+    Python object exists unless something asks for ``.edges``.
     """
 
     satellite_index: np.ndarray  # intp
@@ -95,18 +103,9 @@ class EdgeColumns(NamedTuple):
     range_km: np.ndarray
     required_esn0_db: np.ndarray
 
-    @classmethod
-    def from_edges(cls, edges: list[ContactEdge]) -> "EdgeColumns":
-        count = len(edges)
-        return cls(
-            np.fromiter((e.satellite_index for e in edges), np.intp, count),
-            np.fromiter((e.station_index for e in edges), np.intp, count),
-            np.fromiter((e.weight for e in edges), float, count),
-            np.fromiter((e.bitrate_bps for e in edges), float, count),
-            np.fromiter((e.elevation_deg for e in edges), float, count),
-            np.fromiter((e.range_km for e in edges), float, count),
-            np.fromiter((e.required_esn0_db for e in edges), float, count),
-        )
+    def edge_at(self, position: int) -> ContactEdge:
+        """Edge ``position`` as a :class:`ContactEdge` (bit-identical fields)."""
+        return ContactEdge._make(col[position].item() for col in self)
 
     def to_edges(self) -> list[ContactEdge]:
         """Materialize :class:`ContactEdge` objects (bit-identical fields)."""
@@ -114,77 +113,41 @@ class EdgeColumns(NamedTuple):
 
 
 class ContactGraph:
-    """The bipartite graph for one instant.
+    """The bipartite graph for one instant: its :class:`EdgeColumns`.
 
-    Holds either an edge-object list (value functions priced per edge)
-    or :class:`EdgeColumns` arrays (vectorized pricing); each
-    representation converts to the other lazily and the conversion
-    round-trips bit-exact, so consumers see identical values either way.
+    The columns are the only thing stored.  :attr:`edges` is a read-only
+    row view built from them on each access, for callers that walk edges
+    one by one; the matchers and ``diversity_groups`` read the columns.
     """
 
-    __slots__ = ("when", "num_satellites", "num_stations",
-                 "_edges", "_columns", "_by_satellite", "_by_station")
+    __slots__ = ("when", "num_satellites", "num_stations", "_columns")
 
-    def __init__(self, when: datetime, edges: list[ContactEdge] | None = None,
-                 num_satellites: int = 0, num_stations: int = 0,
-                 columns: EdgeColumns | None = None):
-        if (edges is None) == (columns is None):
-            raise ValueError("provide exactly one of edges= or columns=")
+    def __init__(self, when: datetime, columns: EdgeColumns,
+                 num_satellites: int = 0, num_stations: int = 0):
         self.when = when
         self.num_satellites = num_satellites
         self.num_stations = num_stations
-        self._edges = edges
         self._columns = columns
-        #: Per-endpoint adjacency, built lazily on first ``edges_for_*``
-        #: call (O(E) once, then O(degree) per call).
-        self._by_satellite: list[list[ContactEdge]] | None = None
-        self._by_station: list[list[ContactEdge]] | None = None
 
     @classmethod
     def empty(cls, when: datetime, num_satellites: int,
               num_stations: int) -> "ContactGraph":
         """The edgeless graph (an instant with no pair in a pass)."""
-        return cls(when, columns=_empty_columns(),
-                   num_satellites=num_satellites, num_stations=num_stations)
+        return cls(when, _empty_columns(), num_satellites, num_stations)
 
     @property
     def edges(self) -> list[ContactEdge]:
-        """Edge objects, materialized from the column arrays on demand."""
-        if self._edges is None:
-            self._edges = self._columns.to_edges()
-        return self._edges
+        """The edges as :class:`ContactEdge` rows, in edge order."""
+        return self._columns.to_edges()
 
     @property
     def num_edges(self) -> int:
         """Edge count without materializing edge objects."""
-        if self._edges is not None:
-            return len(self._edges)
         return int(self._columns.satellite_index.size)
 
     def columns(self) -> EdgeColumns:
-        """Column-array form of the edges (built from objects on demand)."""
-        if self._columns is None:
-            self._columns = EdgeColumns.from_edges(self._edges)
+        """The column arrays of the edges."""
         return self._columns
-
-    def _build_adjacency(self) -> None:
-        by_sat: list[list[ContactEdge]] = [[] for _ in range(self.num_satellites)]
-        by_station: list[list[ContactEdge]] = [[] for _ in range(self.num_stations)]
-        for e in self.edges:
-            by_sat[e.satellite_index].append(e)
-            by_station[e.station_index].append(e)
-        self._by_satellite = by_sat
-        self._by_station = by_station
-
-    def edges_for_satellite(self, sat_index: int) -> list[ContactEdge]:
-        if self._by_satellite is None:
-            self._build_adjacency()
-        return self._by_satellite[sat_index]
-
-    def edges_for_station(self, gs_index: int) -> list[ContactEdge]:
-        if self._by_station is None:
-            self._build_adjacency()
-        return self._by_station[gs_index]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse form: ``(sat_idx, gs_idx, weights)`` candidate-pair arrays.
@@ -406,13 +369,19 @@ def build_contact_graph(
     station_weight: Callable[[int, datetime], float] | None = None,
     ephemeris: "EphemerisTable | None" = None,
     pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
+    queue_profile: FleetQueueProfile | None = None,
     recorder=None,
     window_index=None,
     weather_memo=None,
 ) -> ContactGraph:
     """Construct the weighted bipartite graph at ``when``.
 
+    ``value_function`` prices the closing pairs through its
+    ``edge_values``, against ``queue_profile`` (a
+    :class:`~repro.scheduling.value_functions.FleetQueueProfile` of
+    ``satellites`` and the network's station ids; one is made when none
+    is passed).  A scalar value function goes in wrapped in
+    :class:`~repro.scheduling.value_functions.PerEdgeValue`.
     ``link_budget_for(sat, station_index)`` returns the budget calculator
     binding that pair (callers usually cache these).  When
     ``require_current_plan`` is set, satellites without a sufficiently
@@ -449,22 +418,20 @@ def build_contact_graph(
         unavailable |= {
             j for j, f in enumerate(weight_factor) if f <= 0.0
         }
+    if queue_profile is None:
+        queue_profile = FleetQueueProfile(
+            satellites, [station.station_id for station in network]
+        )
     pairs = pair_source(
         satellites, when, geometry, ephemeris, window_index, recorder
     )
-    edges = _mask_and_price(
+    columns = _mask_and_price(
         satellites, network, when, value_function, link_budget_for,
         forecast, step_s, geometry, pairs, unavailable,
         require_current_plan, plan_max_age_s, weight_factor, pair_groups,
         queue_profile, weather_memo, recorder,
     )
-    if isinstance(edges, EdgeColumns):
-        return ContactGraph(when=when, columns=edges,
-                            num_satellites=len(satellites),
-                            num_stations=len(network))
-    return ContactGraph(when=when, edges=edges,
-                        num_satellites=len(satellites),
-                        num_stations=len(network))
+    return ContactGraph(when, columns, len(satellites), len(network))
 
 
 def _empty_columns() -> EdgeColumns:
@@ -532,10 +499,10 @@ def _mask_and_price(
     plan_max_age_s: float,
     weight_factor: list[float] | None,
     pair_groups: PairGroupCache | None,
-    queue_profile,
+    queue_profile: FleetQueueProfile,
     weather_memo,
     recorder,
-) -> "EdgeColumns | list[ContactEdge]":
+) -> EdgeColumns:
     """The tail: feasibility masks on the visible pairs, then pricing.
 
     The visible pairs arrive row-major by (satellite, station) and the
@@ -593,27 +560,29 @@ def _price_pairs(
     rows: np.ndarray | None,
     weight_factor: list[float] | None,
     pair_groups: PairGroupCache | None,
-    queue_profile,
+    queue_profile: FleetQueueProfile,
     weather_memo,
     recorder,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Price the feasible pairs through the batched budget kernel.
+) -> EdgeColumns:
+    """Price the feasible pairs: the kernel, then ``edge_values``.
 
     The pricing half of :func:`_mask_and_price`: ``rows`` indexes the
     feasible entries of ``pairs`` (``None`` when every pair is feasible).
-    Each priced pair's elevation and range come from :func:`pair_geometry`
-    on the fleet positions ``pairs`` carries, and the kernel
-    (:meth:`LinkBudget.evaluate_batch`) derives its path loss and
-    slant-path terms from them in-step, so only the rows that survive the
-    masks ever get geometry or a price.
+    One path, in order: weather for every feasible station; the queue
+    profile refreshed for the satellites in view; the demand-first drop;
+    geometry (:func:`pair_geometry` on the fleet positions ``pairs``
+    carries) and the batched kernel (:meth:`LinkBudget.evaluate_batch`)
+    on the rows left; ``value_function.edge_values`` on the rows whose
+    link closes; the station weight factor; and the rows weighing more
+    than 0, as :class:`EdgeColumns` in row order.
 
-    Weather is sampled for every feasible station first.  With a
-    vectorized ``edge_values`` the fleet queue profile is refreshed for
-    the satellites in view next, and pairs whose satellite has nothing
-    queued are dropped before any geometry, per-pair gather or kernel
-    call: every ``edge_values`` prices an empty queue at exactly 0.0 and
-    zero-weight edges are never kept, so the graph is unchanged.  The
-    scalar per-edge path prices every feasible pair.
+    The demand-first drop removes the pairs whose satellite has nothing
+    queued, before any geometry, per-pair gather or kernel call, when
+    the value function declares ``zero_on_empty_queue``: it prices them
+    at exactly 0.0 and zero-weight edges are never kept, so the graph is
+    unchanged.  A value function that does not declare it (the plan's
+    anticipated-generation value, a scalar one through ``PerEdgeValue``)
+    has every feasible pair priced.
 
     ``weather_memo`` substitutes a per-station sample memo for the
     involved-station oracle loop; it issues the identical first call per
@@ -666,18 +635,12 @@ def _price_pairs(
         if samples:
             recorder.counter("weather_samples", samples)
 
-    # Demand first: only a satellite with queued data can carry an edge.
-    # Counts are read after the refresh (a row is only as fresh as the
-    # storage version it last saw).  Pairs arrive row-major, so sat_idx
-    # is nondecreasing: dedupe by extracting run starts instead of a
-    # full unique sort.
-    batch_values = getattr(value_function, "edge_values", None)
-    batched = batch_values is not None and queue_profile is not None
-    if batched:
-        run_start = np.empty(sat_idx.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(sat_idx[1:], sat_idx[:-1], out=run_start[1:])
-        queue_profile.refresh(sat_idx[run_start])
+    # Demand first: under a value function that prices an empty queue at
+    # 0.0, only a satellite with queued data can carry an edge.  Counts
+    # are read after the refresh (a row is only as fresh as the storage
+    # version it last saw).
+    queue_profile.refresh(_run_starts(sat_idx))
+    if value_function.zero_on_empty_queue:
         loaded = np.flatnonzero(queue_profile.counts_of(sat_idx))
         if loaded.size < sat_idx.size:
             sat_idx = sat_idx[loaded]
@@ -750,60 +713,21 @@ def _price_pairs(
             bitrate[pos] = result.bitrate_bps
             required_esn0[pos] = result.required_esn0_db
 
-    # Value pricing.  Value functions with a vectorized ``edge_values``
-    # (latency, throughput) price all closing pairs against the fleet
-    # queue profile in a few numpy passes; others fall back to the scalar
-    # per-edge call.  Both produce bit-identical weights (the batch
-    # kernels mirror the scalar arithmetic operation for operation).
-    if batched:
-        keep = np.nonzero(closes)[0]
-        if keep.size == 0:
-            return _empty_columns()
-        k_sat = sat_idx[keep]
-        k_gs = gs_idx[keep]
-        weights = batch_values(
-            queue_profile, k_sat, bitrate[keep], when, step_s
-        )
-        if weight_factor is not None:
-            weights = weights * np.asarray(weight_factor)[k_gs]
-        pos = np.nonzero(weights > 0.0)[0]
-        return EdgeColumns(
-            k_sat[pos], k_gs[pos], weights[pos], bitrate[keep][pos],
-            pair_elevation[keep][pos], pair_range[keep][pos],
-            required_esn0[keep][pos],
-        )
-
-    edges = []
-    stations = list(network)
-    sat_list = sat_idx.tolist()
-    gs_list = gs_idx.tolist()
-    closes_list = closes.tolist()
-    bitrate_list = bitrate.tolist()
-    elev_list = pair_elevation.tolist()
-    range_list = pair_range.tolist()
-    esn0_list = required_esn0.tolist()
-    for p in range(pair_count):
-        if not closes_list[p]:
-            continue
-        i = sat_list[p]
-        j = gs_list[p]
-        weight = value_function.edge_value(
-            satellites[i], stations[j].station_id, bitrate_list[p],
-            when, step_s,
-        )
-        if weight_factor is not None:
-            weight *= weight_factor[j]
-        if weight <= 0.0:
-            continue
-        edges.append(
-            ContactEdge(
-                satellite_index=i,
-                station_index=j,
-                weight=weight,
-                bitrate_bps=bitrate_list[p],
-                elevation_deg=elev_list[p],
-                range_km=range_list[p],
-                required_esn0_db=esn0_list[p],
-            )
-        )
-    return edges
+    # Value pricing: the closing pairs, priced against the fleet queue
+    # profile in one edge_values call.
+    keep = np.nonzero(closes)[0]
+    if keep.size == 0:
+        return _empty_columns()
+    k_sat = sat_idx[keep]
+    k_gs = gs_idx[keep]
+    weights = value_function.edge_values(
+        queue_profile, k_sat, k_gs, bitrate[keep], when, step_s
+    )
+    if weight_factor is not None:
+        weights = weights * np.asarray(weight_factor)[k_gs]
+    pos = np.nonzero(weights > 0.0)[0]
+    return EdgeColumns(
+        k_sat[pos], k_gs[pos], weights[pos], bitrate[keep][pos],
+        pair_elevation[keep][pos], pair_range[keep][pos],
+        required_esn0[keep][pos],
+    )

@@ -91,7 +91,7 @@ class HorizonScheduler(DownlinkScheduler):
         for k in range(self.horizon_steps):
             when = start + timedelta(seconds=k * self.step_s)
             graphs.append(self.contact_graph(when, forecast_issued_at))
-        self._window_edge_count = len(graphs[0].edges) if graphs else 0
+        self._window_edge_count = graphs[0].num_edges if graphs else 0
 
         # All (step, edge) candidates, heaviest first.
         candidates = [

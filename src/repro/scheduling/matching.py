@@ -415,21 +415,32 @@ def diversity_groups(
     secondaries.
 
     Purely a function of the graph's edges and the matching, so the
-    selection is deterministic and depends on nothing else.
+    selection is deterministic and depends on nothing else.  Reads the
+    graph's columns: a stable sort by satellite gives each matched
+    satellite its edge positions in edge order, and only the chosen
+    edges become :class:`ContactEdge` rows.
     """
     if max_receivers < 1:
         raise ValueError("max_receivers must be >= 1")
+    cols = graph.columns()
+    by_satellite = np.argsort(cols.satellite_index, kind="stable")
+    sorted_sats = cols.satellite_index[by_satellite]
+    matched = [a.satellite_index for a in assignments]
+    lo = np.searchsorted(sorted_sats, matched, side="left").tolist()
+    hi = np.searchsorted(sorted_sats, matched, side="right").tolist()
+    positions = by_satellite.tolist()
+    gs_l = cols.station_index.tolist()
+    w_l = cols.weight.tolist()
     taken = {a.station_index for a in assignments}
     groups: dict[int, list[ContactEdge]] = {}
-    for a in assignments:
+    for a, first, last in zip(assignments, lo, hi):
         candidates = [
-            e for e in graph.edges_for_satellite(a.satellite_index)
-            if e.station_index != a.station_index
-            and e.station_index not in taken
+            p for p in positions[first:last]
+            if gs_l[p] != a.station_index and gs_l[p] not in taken
         ]
-        candidates.sort(key=lambda e: (-e.weight, e.station_index))
+        candidates.sort(key=lambda p: (-w_l[p], gs_l[p]))
         chosen = candidates[: max_receivers - 1]
-        for e in chosen:
-            taken.add(e.station_index)
-        groups[a.satellite_index] = chosen
+        for p in chosen:
+            taken.add(gs_l[p])
+        groups[a.satellite_index] = [cols.edge_at(p) for p in chosen]
     return groups

@@ -41,6 +41,7 @@ from repro.scheduling.matching import (
 from repro.scheduling.value_functions import (
     FleetQueueProfile,
     LatencyValue,
+    PerEdgeValue,
     ValueFunction,
 )
 from repro.weather.provider import ClearSkyProvider, WeatherProvider
@@ -137,36 +138,56 @@ class _AnticipatedGenerationValue:
     falls back, for edges the inner function prices at zero, to the
     imagery the satellite will have *accumulated by that future instant*
     (generation rate x elapsed), discounted below real-backlog value so
-    actual data always wins contested stations.
+    actual data always wins contested stations.  It prices empty queues
+    above zero, so it declares ``zero_on_empty_queue = False``.
     """
 
     #: Anticipated data competes below real data: scale its value down.
     DISCOUNT = 0.25
 
-    def __init__(self, inner, issued_at: datetime):
+    zero_on_empty_queue = False
+
+    def __init__(self, inner: ValueFunction, issued_at: datetime):
         self.inner = inner
         self.issued_at = issued_at
 
-    def edge_value(self, satellite, station_id: str, bitrate_bps: float,
-                   now: datetime, step_s: float) -> float:
-        value = self.inner.edge_value(
-            satellite, station_id, bitrate_bps, now, step_s
-        )
-        if value > 0.0 or bitrate_bps <= 0.0:
+    def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """The inner value, then the anticipated term where it is <= 0.
+
+        Rows with a positive inner value or no link keep the inner
+        value.  The others get the anticipated term, 0.0 at or before
+        the issue instant or without generation.
+        """
+        # A copy: the anticipated rows are written into it.
+        value = np.array(self.inner.edge_values(
+            profile, sat_idx, gs_idx, bitrate_bps, now, step_s
+        ), dtype=float)
+        fill = np.flatnonzero(~(value > 0.0) & ~(bitrate_bps <= 0.0))
+        if fill.size == 0:
             return value
+        value[fill] = 0.0
         elapsed_s = (now - self.issued_at).total_seconds()
         if elapsed_s <= 0.0:
-            return 0.0
-        rate_bits_s = satellite.generation_gb_per_day * 8e9 / 86400.0
+            return value
+        satellites = profile.satellites
+        rows = sat_idx[fill]
+        rate_bits_s = np.array(
+            [sat.generation_gb_per_day for sat in satellites], dtype=float
+        )[rows] * 8e9 / 86400.0
         anticipated_bits = rate_bits_s * elapsed_s
-        if anticipated_bits <= 0.0:
-            return 0.0
-        deliverable = min(bitrate_bps * step_s, anticipated_bits)
+        deliverable = np.minimum(bitrate_bps[fill] * step_s, anticipated_bits)
         # Mean age of a continuously-filling queue is elapsed/2; weight it
         # by deliverable volume in chunk-equivalents, matching the units of
-        # OnboardStorage.prefix_age_value (age x chunks moved).
-        chunk_bits = satellite.chunk_size_gb * 8e9
-        return self.DISCOUNT * (elapsed_s / 2.0) * deliverable / chunk_bits
+        # latency pricing (age x chunks moved).
+        chunk_bits = np.array(
+            [sat.chunk_size_gb for sat in satellites], dtype=float
+        )[rows] * 8e9
+        anticipated = (self.DISCOUNT * (elapsed_s / 2.0) * deliverable
+                       / chunk_bits)
+        value[fill] = np.where(anticipated_bits > 0.0, anticipated, 0.0)
+        return value
 
 
 class _StationWeatherMemo:
@@ -283,7 +304,9 @@ class DownlinkScheduler:
         #: Fleet-wide send-queue snapshot for vectorized edge pricing;
         #: rows invalidate via the storage version counter, so
         #: steady-state refreshes touch only mutated queues.
-        self._queue_profile = FleetQueueProfile(satellites)
+        self._queue_profile = FleetQueueProfile(
+            satellites, [station.station_id for station in network]
+        )
         #: Observability sink for graph-build/matching spans and counters;
         #: the shared no-op recorder unless the engine passed a live one.
         from repro.obs.recorder import NULL_RECORDER
@@ -301,6 +324,22 @@ class DownlinkScheduler:
         self.window_index = None
         #: Lazily-built per-station weather memo (nowcast path only).
         self._weather_memo: _StationWeatherMemo | None = None
+
+    @property
+    def value_function(self) -> ValueFunction:
+        """The edge pricer.
+
+        Setting a value function with only a scalar ``edge_value`` stores
+        it wrapped in ``PerEdgeValue``: the one place a scalar value
+        function is adapted.
+        """
+        return self._value_function
+
+    @value_function.setter
+    def value_function(self, value_function) -> None:
+        if not isinstance(value_function, ValueFunction):
+            value_function = PerEdgeValue(value_function)
+        self._value_function = value_function
 
     def wiring(self) -> dict:
         """Constructor keywords that rebuild this scheduler's inputs.

@@ -6,9 +6,13 @@ The paper gives two canonical instances -- Phi = t to minimize latency and
 Phi = |x| to maximize throughput -- and sketches SLA/geography weighting
 and bidding.  All four are here, plus composition.
 
-A value function sees the satellite's queue head (what would actually be
-sent), the predicted link bitrate, and the step duration, and returns the
-edge weight for the matching stage.  Higher = more valuable.
+A value function prices one instant's closing pairs at once
+(``edge_values``): it sees each satellite's send queue through the fleet
+queue profile (what would actually be sent), each pair's predicted link
+bitrate, and the step duration, and returns the edge weights for the
+matching stage.  Higher = more valuable.  The per-edge scalar form of
+every function here is the test oracle's reference (``tests/oracle.py``);
+a user's scalar ``edge_value`` runs through :class:`PerEdgeValue`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.satellites.satellite import Satellite
 #: ``(now_us - capture_us) / 1e6``: the microsecond difference is an exact
 #: int64, and dividing it by 1e6 performs the single correctly-rounded
 #: float division that ``timedelta.total_seconds()`` performs -- which is
-#: what makes the vectorized ages bit-identical to the scalar path.
+#: what makes the vectorized ages bit-identical to the per-edge reference.
 _US_REF = datetime(2000, 1, 1)
 
 
@@ -35,26 +39,33 @@ def _microseconds_since_ref(when: datetime) -> int:
 
 
 #: Deadline sentinel for untenanted chunks: far enough in the future that
-#: the urgency-pressure clip lands on an exact 0.0, matching the scalar
-#: path's ``deadline is None`` branch bit for bit.
+#: the urgency-pressure clip lands on an exact 0.0, matching the per-edge
+#: reference's ``deadline is None`` branch bit for bit.
 _NO_DEADLINE_US = 2**62
 
 
 class FleetQueueProfile:
     """Padded per-satellite send-queue arrays for vectorized edge pricing.
 
-    ``prefix_age_value`` reads three per-chunk fields (remaining bits,
-    size, capture time) plus the queue backlog and head size; this cache
-    holds them as ``(num_satellites, max_chunks)`` arrays so a value
-    function can price every edge of an instant in a handful of numpy
-    passes instead of a Python call per pair.  Rows refresh lazily against
+    Age pricing reads three per-chunk fields (remaining bits, size,
+    capture time) plus the queue backlog and head size; this cache holds
+    them as ``(num_satellites, max_chunks)`` arrays so a value function
+    can price every edge of an instant in a handful of numpy passes
+    instead of a Python call per pair.  Rows refresh lazily against
     :attr:`OnboardStorage.version`, so between scheduling steps only the
     satellites that actually transmitted, captured, or requeued data are
     re-read.
+
+    ``satellites`` and ``station_ids`` (the network's, by station index)
+    name the indices a value function is given, for prices that depend
+    on more than the queue arrays: a head chunk's tags, a bid per
+    (satellite, station).
     """
 
-    def __init__(self, satellites: list[Satellite]):
-        self._satellites = satellites
+    def __init__(self, satellites: list[Satellite],
+                 station_ids: tuple[str, ...] = ()):
+        self.satellites = satellites
+        self.station_ids = tuple(station_ids)
         self._storages = [sat.storage for sat in satellites]
         n = len(satellites)
         self._versions = np.full(n, -1, dtype=np.int64)
@@ -113,7 +124,7 @@ class FleetQueueProfile:
             return
         self._demand_order = order
         self._tenant_lookup = {tid: k + 1 for k, tid in enumerate(order)}
-        n = len(self._satellites)
+        n = len(self.satellites)
         self._tenant_slot = np.zeros((n, self._cols), dtype=np.intp)
         self._deadline_us = np.full(
             (n, self._cols), _NO_DEADLINE_US, dtype=np.int64
@@ -136,7 +147,7 @@ class FleetQueueProfile:
             )
             count = len(remaining)
             if count > self._cols:
-                self._alloc(len(self._satellites), max(count, 2 * self._cols))
+                self._alloc(len(self.satellites), max(count, 2 * self._cols))
             row_r = self._remaining[i]
             row_s = self._sizes[i]
             row_c = self._capture_us[i]
@@ -168,13 +179,16 @@ class FleetQueueProfile:
 
     def prefix_age_values(self, sat_idx: np.ndarray, bits_budgets: np.ndarray,
                           now: datetime) -> np.ndarray:
-        """Vectorized :meth:`OnboardStorage.prefix_age_value` per edge.
+        """Summed age (seconds, chunk-weighted) of the data each edge moves.
 
-        ``sat_idx[p]`` is the satellite of edge ``p`` and ``bits_budgets[p]``
-        its step budget.  The chunk loop runs sequentially over the (few)
-        queue positions and vectorized over edges, performing the same
-        elementwise operations in the same order as the scalar loop --
-        padded positions contribute an exact ``+0.0``.
+        The paper's latency value evaluated on the subset x that fits in
+        a step: over the queue prefix, chunk age x the fraction of the
+        chunk that fits.  ``sat_idx[p]`` is the satellite of edge ``p``
+        and ``bits_budgets[p]`` its step budget.  The chunk loop runs
+        sequentially over the (few) queue positions and vectorized over
+        edges, in the per-chunk order of the scalar reference
+        (``tests/oracle.py``) -- padded positions contribute an exact
+        ``+0.0``.
         """
         now_us = _microseconds_since_ref(now)
         left = np.maximum(0.0, bits_budgets)
@@ -206,7 +220,7 @@ class FleetQueueProfile:
         from ``slot_weights`` and boosted by deadline pressure.  Padded
         positions contribute an exact ``+0.0`` (sendable is 0), and the
         no-deadline sentinel clips pressure to an exact 0.0, so the
-        result is bit-identical to the scalar loop.
+        result is bit-identical to the per-chunk scalar loop.
         """
         if self._tenant_slot is None:
             raise RuntimeError("demand columns not enabled; call ensure_demand")
@@ -247,27 +261,64 @@ class FleetQueueProfile:
 class ValueFunction(Protocol):
     """Edge-weight oracle for the bipartite matching.
 
-    An implementation may add a vectorized ``edge_values(profile,
-    sat_idx, bitrate_bps, now, step_s)`` over a
-    :class:`FleetQueueProfile`.  Such an ``edge_values`` must return
-    exactly 0.0 for every edge whose satellite has an empty send queue
-    (``profile.counts_of == 0``), at any bitrate and instant: the graph's
-    pricing tail drops those pairs before the link-budget kernel runs
-    and never calls it for them.  Value functions that price an empty
-    queue above zero implement only :meth:`edge_value`, which is called
-    for every feasible pair.
+    ``edge_values(profile, sat_idx, gs_idx, bitrate_bps, now, step_s)``
+    prices one instant's closing pairs at once: row ``p`` is satellite
+    ``sat_idx[p]`` transmitting to station ``gs_idx[p]`` at
+    ``bitrate_bps[p]`` for one step of ``step_s`` seconds.  ``profile``
+    is the :class:`FleetQueueProfile`, already refreshed for every
+    satellite in the rows; ``profile.satellites`` and
+    ``profile.station_ids`` name the indices.  It returns one float64
+    weight per row, and the graph keeps the rows weighing more than 0.
+
+    ``zero_on_empty_queue`` is the implementation's declaration that
+    ``edge_values`` returns exactly 0.0 for every row whose satellite has
+    an empty send queue (``profile.counts_of == 0``), at any bitrate,
+    station and instant.  When it is true the pricing tail drops those
+    rows before the link budget runs and never prices them; when it is
+    false every feasible pair is priced.  A value function with only a
+    scalar ``edge_value`` goes through :class:`PerEdgeValue`.
     """
 
-    def edge_value(
-        self,
-        satellite: Satellite,
-        station_id: str,
-        bitrate_bps: float,
-        now: datetime,
-        step_s: float,
-    ) -> float:
-        """Value of satellite->station transmitting for one step at this rate."""
+    #: True when an empty send queue always prices at exactly 0.0.
+    zero_on_empty_queue: bool
+
+    def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """Value of each row's satellite->station step at its rate."""
         ...
+
+
+def _run_starts(sat_idx: np.ndarray) -> np.ndarray:
+    """The satellites of ``sat_idx``, one per run of equal neighbours.
+
+    Rows arrive row-major by satellite, so this dedupes them without a
+    sort; an unsorted input just repeats some satellites.
+    """
+    run_start = np.empty(sat_idx.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sat_idx[1:], sat_idx[:-1], out=run_start[1:])
+    return sat_idx[run_start]
+
+
+def _with_fallback(value: np.ndarray, profile: FleetQueueProfile,
+                   sat_idx: np.ndarray, budgets: np.ndarray,
+                   step_s: float, min_age_factor: float) -> np.ndarray:
+    """The all-new-data fallback of the age-priced value functions.
+
+    A queue whose prefix ages sum to <= 0 (every chunk captured this
+    instant) is valued by deliverable volume at ``min_age_factor`` steps
+    of age, in head-chunk units.
+    """
+    backlog = profile.backlog_of(sat_idx)
+    deliverable = np.minimum(budgets, backlog)
+    head_size = np.where(
+        profile.counts_of(sat_idx) > 0,
+        profile.head_size_of(sat_idx), deliverable,
+    )
+    fallback = (min_age_factor * step_s * deliverable
+                / np.maximum(head_size, 1.0))
+    return np.where((value <= 0.0) & (backlog > 0.0), fallback, value)
 
 
 @dataclass(frozen=True)
@@ -282,43 +333,20 @@ class LatencyValue:
     links.
     """
 
+    zero_on_empty_queue = True
+
     #: Floor each chunk's age at one step so freshly captured data still
     #: attracts downlink capacity.
     min_age_factor: float = 1.0
 
-    def edge_value(self, satellite: Satellite, station_id: str,
-                   bitrate_bps: float, now: datetime, step_s: float) -> float:
-        if bitrate_bps <= 0.0:
-            return 0.0
-        value = satellite.storage.prefix_age_value(bitrate_bps * step_s, now)
-        if value <= 0.0 and satellite.storage.backlog_bits > 0.0:
-            # All-new data: value by deliverable volume at a one-step age.
-            deliverable = min(bitrate_bps * step_s, satellite.storage.backlog_bits)
-            chunk = satellite.storage.peek_sendable()
-            size = chunk.size_bits if chunk is not None else deliverable
-            value = self.min_age_factor * step_s * deliverable / max(size, 1.0)
-        return value
-
     def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
-                    bitrate_bps: np.ndarray, now: datetime,
-                    step_s: float) -> np.ndarray:
-        """Vectorized :meth:`edge_value` over one instant's edges.
-
-        Bit-identical to the scalar method: the prefix-age kernel mirrors
-        its loop operation for operation, and the all-new-data fallback is
-        the same expression evaluated elementwise.
-        """
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """The prefix age sum per row, then the all-new-data fallback."""
         budgets = bitrate_bps * step_s
         value = profile.prefix_age_values(sat_idx, budgets, now)
-        backlog = profile.backlog_of(sat_idx)
-        deliverable = np.minimum(budgets, backlog)
-        head_size = np.where(
-            profile.counts_of(sat_idx) > 0,
-            profile.head_size_of(sat_idx), deliverable,
-        )
-        fallback = (self.min_age_factor * step_s * deliverable
-                    / np.maximum(head_size, 1.0))
-        value = np.where((value <= 0.0) & (backlog > 0.0), fallback, value)
+        value = _with_fallback(value, profile, sat_idx, budgets, step_s,
+                               self.min_age_factor)
         return np.where(bitrate_bps > 0.0, value, 0.0)
 
 
@@ -338,14 +366,13 @@ class DeadlineSlaValue:
     so a chunk approaching its deadline attracts downlink capacity as if
     it were ``urgency_weight_s`` seconds older, and an over-quota
     tenant's data is discounted by ``over_quota_factor`` until the next
-    UTC day restores its quota.  Untenanted chunks price at weight 1
-    with no deadline pressure, which makes the function degrade to
+    UTC day restores its quota.  Untenanted chunks, and chunks of a
+    tenant not in ``tenants``, price at weight 1; a chunk without a
+    deadline feels no pressure.  That makes the function degrade to
     :class:`LatencyValue`-like behavior on legacy data.
-
-    ``edge_values`` is the vectorized fast path; it enables the fleet
-    profile's demand columns on first use and is bit-identical to the
-    scalar method.
     """
+
+    zero_on_empty_queue = True
 
     tenants: tuple = ()
     #: The shared per-run quota ledger (None = no quota discounting).
@@ -368,9 +395,6 @@ class DeadlineSlaValue:
             raise ValueError("over_quota_factor must be in (0, 1]")
         order = tuple(t.tenant_id for t in self.tenants)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(
-            self, "_slot", {tid: k + 1 for k, tid in enumerate(order)}
-        )
         # Slot 0 = untenanted: weight 1, never quota-limited.
         object.__setattr__(
             self, "_weights",
@@ -386,49 +410,10 @@ class DeadlineSlaValue:
                     factors[k + 1] = self.over_quota_factor
         return self._weights * factors
 
-    def edge_value(self, satellite: Satellite, station_id: str,
-                   bitrate_bps: float, now: datetime, step_s: float) -> float:
-        if bitrate_bps <= 0.0:
-            return 0.0
-        storage = satellite.storage
-        weights = self._slot_weights(now)
-        now_us = _microseconds_since_ref(now)
-        left = bitrate_bps * step_s
-        value = 0.0
-        for chunk in storage.onboard_chunks:
-            if left <= 0.0:
-                break
-            sendable = min(chunk.remaining_bits, left)
-            ages = max(
-                0.0,
-                (now_us - _microseconds_since_ref(chunk.capture_time)) / 1e6,
-            )
-            if chunk.deadline is None:
-                pressure = 0.0
-            else:
-                slack_s = (
-                    _microseconds_since_ref(chunk.deadline) - now_us
-                ) / 1e6
-                pressure = min(max(
-                    (self.urgency_horizon_s - slack_s)
-                    / self.urgency_horizon_s, 0.0
-                ), 2.0)
-            value = value + weights[self._slot.get(chunk.tenant_id, 0)] * (
-                ages + self.urgency_weight_s * pressure
-            ) * (sendable / chunk.size_bits)
-            left = left - sendable
-        if value <= 0.0 and storage.backlog_bits > 0.0:
-            # All-new data: value by deliverable volume at a one-step age.
-            deliverable = min(bitrate_bps * step_s, storage.backlog_bits)
-            chunk = storage.peek_sendable()
-            size = chunk.size_bits if chunk is not None else deliverable
-            value = self.min_age_factor * step_s * deliverable / max(size, 1.0)
-        return value
-
     def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
-                    bitrate_bps: np.ndarray, now: datetime,
-                    step_s: float) -> np.ndarray:
-        """Vectorized :meth:`edge_value` over one instant's edges.
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """The deadline prefix sum per row, then the all-new-data fallback.
 
         First use enables the profile's demand columns (invalidating its
         rows), so the extra refresh here re-reads exactly the rows this
@@ -436,24 +421,14 @@ class DeadlineSlaValue:
         """
         profile.ensure_demand(self._order)
         if sat_idx.size:
-            run_start = np.empty(sat_idx.size, dtype=bool)
-            run_start[0] = True
-            np.not_equal(sat_idx[1:], sat_idx[:-1], out=run_start[1:])
-            profile.refresh(sat_idx[run_start])
+            profile.refresh(_run_starts(sat_idx))
         budgets = bitrate_bps * step_s
         value = profile.prefix_deadline_values(
             sat_idx, budgets, now, self._slot_weights(now),
             self.urgency_weight_s, self.urgency_horizon_s,
         )
-        backlog = profile.backlog_of(sat_idx)
-        deliverable = np.minimum(budgets, backlog)
-        head_size = np.where(
-            profile.counts_of(sat_idx) > 0,
-            profile.head_size_of(sat_idx), deliverable,
-        )
-        fallback = (self.min_age_factor * step_s * deliverable
-                    / np.maximum(head_size, 1.0))
-        value = np.where((value <= 0.0) & (backlog > 0.0), fallback, value)
+        value = _with_fallback(value, profile, sat_idx, budgets, step_s,
+                               self.min_age_factor)
         return np.where(bitrate_bps > 0.0, value, 0.0)
 
 
@@ -461,19 +436,12 @@ class DeadlineSlaValue:
 class ThroughputValue:
     """Phi(x, t) = |x|: the bits this link can move during the step."""
 
-    def edge_value(self, satellite: Satellite, station_id: str,
-                   bitrate_bps: float, now: datetime, step_s: float) -> float:
-        if bitrate_bps <= 0.0:
-            return 0.0
-        sendable = satellite.storage.backlog_bits
-        if sendable <= 0.0:
-            return 0.0
-        return min(bitrate_bps * step_s, sendable)
+    zero_on_empty_queue = True
 
     def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
-                    bitrate_bps: np.ndarray, now: datetime,
-                    step_s: float) -> np.ndarray:
-        """Vectorized :meth:`edge_value`: deliverable bits per edge."""
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """Deliverable bits per row."""
         backlog = profile.backlog_of(sat_idx)
         value = np.minimum(bitrate_bps * step_s, backlog)
         return np.where((bitrate_bps > 0.0) & (backlog > 0.0), value, 0.0)
@@ -485,22 +453,38 @@ class PriorityValue:
 
     Weighs the queue head's ``priority`` field (e.g. disaster imagery
     tagged high) and an optional per-region multiplier, on top of age, so
-    urgent data preempts stale-but-ordinary data.
+    urgent data preempts stale-but-ordinary data.  A region missing from
+    ``region_multipliers`` weighs 1.
     """
+
+    zero_on_empty_queue = True
 
     region_multipliers: dict[str, float] = field(default_factory=dict)
     priority_weight: float = 3600.0  # 1 priority unit == 1 hour of age
 
-    def edge_value(self, satellite: Satellite, station_id: str,
-                   bitrate_bps: float, now: datetime, step_s: float) -> float:
-        if bitrate_bps <= 0.0:
-            return 0.0
-        head = satellite.storage.peek_sendable()
-        if head is None:
-            return 0.0
-        age_s = max(step_s, (now - head.capture_time).total_seconds())
-        multiplier = self.region_multipliers.get(head.region, 1.0)
-        return multiplier * (age_s + self.priority_weight * head.priority)
+    def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """The head chunk's value per row.
+
+        The value depends on the satellite alone, so each distinct
+        satellite's head chunk is read once, from its storage, and the
+        value is spread to its rows.  An empty queue has no head and
+        prices 0.
+        """
+        sats, row_of = np.unique(sat_idx, return_inverse=True)
+        head_value = np.zeros(sats.size)
+        satellites = profile.satellites
+        for k, i in enumerate(sats.tolist()):
+            head = satellites[i].storage.peek_sendable()
+            if head is None:
+                continue
+            age_s = max(step_s, (now - head.capture_time).total_seconds())
+            multiplier = self.region_multipliers.get(head.region, 1.0)
+            head_value[k] = multiplier * (
+                age_s + self.priority_weight * head.priority
+            )
+        return np.where(bitrate_bps > 0.0, head_value[row_of], 0.0)
 
 
 @dataclass(frozen=True)
@@ -513,27 +497,91 @@ class AuctionValue:
     feasible satellite under stable matching.
     """
 
+    zero_on_empty_queue = True
+
     bids: dict[tuple[str, str], float] = field(default_factory=dict)
     default_bid: float = 1.0
 
-    def edge_value(self, satellite: Satellite, station_id: str,
-                   bitrate_bps: float, now: datetime, step_s: float) -> float:
-        if bitrate_bps <= 0.0 or satellite.storage.backlog_bits <= 0.0:
-            return 0.0
-        bid = self.bids.get((satellite.satellite_id, station_id), self.default_bid)
-        deliverable = min(bitrate_bps * step_s, satellite.storage.backlog_bits)
-        return bid * deliverable
+    def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """Bid x deliverable bits per row.
+
+        Bids are keyed by ``(satellite_id, station_id)``, so a row's bid
+        is looked up by its ids; without bids every row pays the
+        default.
+        """
+        if self.bids:
+            satellites = profile.satellites
+            station_ids = profile.station_ids
+            lookup = self.bids.get
+            default = self.default_bid
+            bid = np.fromiter(
+                (lookup((satellites[i].satellite_id, station_ids[j]), default)
+                 for i, j in zip(sat_idx.tolist(), gs_idx.tolist())),
+                float, sat_idx.size,
+            )
+        else:
+            bid = np.full(sat_idx.size, self.default_bid, dtype=float)
+        backlog = profile.backlog_of(sat_idx)
+        value = bid * np.minimum(bitrate_bps * step_s, backlog)
+        return np.where((bitrate_bps > 0.0) & (backlog > 0.0), value, 0.0)
 
 
 @dataclass(frozen=True)
 class CompositeValue:
-    """Weighted sum of value functions (e.g. 0.7*latency + 0.3*throughput)."""
+    """Weighted sum of value functions (e.g. 0.7*latency + 0.3*throughput).
+
+    Every component must have ``edge_values``; wrap a scalar one in
+    :class:`PerEdgeValue`.  The sum prices an empty queue at 0.0 when
+    every component does.
+    """
 
     components: tuple[tuple[ValueFunction, float], ...]
 
-    def edge_value(self, satellite: Satellite, station_id: str,
-                   bitrate_bps: float, now: datetime, step_s: float) -> float:
-        return sum(
-            weight * vf.edge_value(satellite, station_id, bitrate_bps, now, step_s)
-            for vf, weight in self.components
+    @property
+    def zero_on_empty_queue(self) -> bool:
+        return all(vf.zero_on_empty_queue for vf, _weight in self.components)
+
+    def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        """The components' weighted values, added in order from 0."""
+        total = np.zeros(sat_idx.size)
+        for vf, weight in self.components:
+            total = total + weight * vf.edge_values(
+                profile, sat_idx, gs_idx, bitrate_bps, now, step_s
+            )
+        return total
+
+
+class PerEdgeValue:
+    """A value function with only a scalar ``edge_value``, row by row.
+
+    ``inner.edge_value(satellite, station_id, bitrate_bps, now, step_s)``
+    is called once per row, in row order, with the row's
+    :class:`~repro.satellites.satellite.Satellite` and station id.  The
+    adapter cannot know what ``inner`` makes of an empty queue, so it
+    declares ``zero_on_empty_queue = False`` and every feasible pair is
+    priced.  :class:`~repro.scheduling.scheduler.DownlinkScheduler`
+    stores a value function that is not a :class:`ValueFunction` wrapped
+    in it.
+    """
+
+    zero_on_empty_queue = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def edge_values(self, profile: FleetQueueProfile, sat_idx: np.ndarray,
+                    gs_idx: np.ndarray, bitrate_bps: np.ndarray,
+                    now: datetime, step_s: float) -> np.ndarray:
+        satellites = profile.satellites
+        station_ids = profile.station_ids
+        edge_value = self.inner.edge_value
+        return np.fromiter(
+            (edge_value(satellites[i], station_ids[j], rate, now, step_s)
+             for i, j, rate in zip(sat_idx.tolist(), gs_idx.tolist(),
+                                   bitrate_bps.tolist())),
+            float, sat_idx.size,
         )

@@ -547,12 +547,18 @@ class Simulation:
     def _execute_assignment(self, assignment, now: datetime) -> None:
         """Execute one live (or aligned planned) contact step.
 
-        The truth weather and the fault layer decide whether the station
-        decodes; :meth:`_transmit` sends the bits either way and
-        :meth:`_land` lands what the station decoded.
+        The battery gates the step first (:meth:`_powered_fraction`), so
+        a satellite that cannot power its radio transmits nothing, even
+        toward a dark station.  The truth weather and the fault layer
+        then decide whether the station decodes; :meth:`_transmit` sends
+        the bits either way and :meth:`_land` lands what the station
+        decoded.
         """
         sat = self.satellites[assignment.satellite_index]
         station = self.network[assignment.station_index]
+        usable_fraction = self._powered_fraction(assignment, sat)
+        if usable_fraction is None:
+            return
         bits_budget = assignment.bitrate_bps * self.config.step_s
         if self.outages is not None and self.outages.is_down(
             station.station_id, now
@@ -579,9 +585,6 @@ class Simulation:
                 self._transmit(sat, station, assignment.bitrate_bps,
                                bits_budget, False, now)
                 return
-        usable_fraction = self._powered_fraction(assignment, sat)
-        if usable_fraction is None:
-            return
         decoded = True
         if self.config.use_forecast:
             decoded = self._decodes_under_truth(assignment, sat, now)
@@ -877,25 +880,28 @@ class Simulation:
             entry = plan.entry_at(sat_index, now)
             if entry is None:
                 continue
+            assignment = Assignment(
+                satellite_index=sat_index,
+                station_index=entry.station_index,
+                weight=0.0,
+                bitrate_bps=entry.expected_bitrate_bps,
+                elevation_deg=entry.elevation_deg,
+                range_km=entry.range_km,
+                required_esn0_db=entry.required_esn0_db,
+            )
             if station_targets.get(entry.station_index) == sat_index:
-                self._execute_assignment(Assignment(
-                    satellite_index=sat_index,
-                    station_index=entry.station_index,
-                    weight=0.0,
-                    bitrate_bps=entry.expected_bitrate_bps,
-                    elevation_deg=entry.elevation_deg,
-                    range_km=entry.range_km,
-                    required_esn0_db=entry.required_esn0_db,
-                ), now)
+                self._execute_assignment(assignment, now)
             else:
                 # The station moved on (newer plan); the satellite's
-                # transmission falls on a dish pointed elsewhere.
+                # transmission, if its battery powers the radio, falls on
+                # a dish pointed elsewhere.
                 self.plan_mismatch_steps += 1
-                self._transmit(
-                    sat, self.network[entry.station_index],
-                    entry.expected_bitrate_bps,
-                    entry.expected_bitrate_bps * cfg.step_s, False, now,
-                )
+                if self._powered_fraction(assignment, sat) is not None:
+                    self._transmit(
+                        sat, self.network[entry.station_index],
+                        entry.expected_bitrate_bps,
+                        entry.expected_bitrate_bps * cfg.step_s, False, now,
+                    )
             executed[sat_index] = entry.station_index
         self._bootstrap_planless(now, executed)
         return executed

@@ -13,8 +13,11 @@ are checked against, and the only place the reference lives:
   :func:`~repro.scheduling.graph.pair_geometry`, which the scan, the
   pricing tail and the pass records share;
 * :func:`scalar_edges` -- one :meth:`LinkBudget.evaluate` and one
-  ``ValueFunction.edge_value`` call per visible pair, weather sampled per
-  station;
+  per-edge price (:func:`edge_value`) per visible pair, weather sampled
+  per station;
+* :func:`edge_value` -- the per-edge scalar form of every in-tree value
+  function (and a user's own ``edge_value``), for checking each
+  vectorized ``edge_values`` bit for bit;
 * :func:`reference_evaluate_batch` -- the batched link budget in two
   phases: geometry-only columns first (:func:`reference_statics`), then
   the weather-dependent terms from them, for checking the one in-step
@@ -42,7 +45,24 @@ from repro.linkbudget.itu import (
     rain_height_km_batch,
 )
 from repro.orbits.constants import BOLTZMANN_DBW, SPEED_OF_LIGHT_M_S
-from repro.scheduling.graph import ContactEdge, ContactGraph, GeometryEngine
+from repro.scheduling.graph import (
+    ContactEdge,
+    ContactGraph,
+    EdgeColumns,
+    GeometryEngine,
+)
+from repro.scheduling.scheduler import _AnticipatedGenerationValue
+from repro.scheduling.value_functions import (
+    AuctionValue,
+    CompositeValue,
+    DeadlineSlaValue,
+    FleetQueueProfile,
+    LatencyValue,
+    PerEdgeValue,
+    PriorityValue,
+    ThroughputValue,
+    _microseconds_since_ref,
+)
 
 
 def zenith(geometry: GeometryEngine) -> np.ndarray:
@@ -166,8 +186,9 @@ def scalar_edges(satellites, network, when, value_function, link_budget_for,
             )
             if not result.closes:
                 continue
-            weight = value_function.edge_value(
-                sat, station.station_id, result.bitrate_bps, when, step_s
+            weight = edge_value(
+                value_function, sat, station.station_id,
+                result.bitrate_bps, when, step_s,
             )
             if weight_factor is not None:
                 weight *= weight_factor[j]
@@ -183,6 +204,216 @@ def scalar_edges(satellites, network, when, value_function, link_budget_for,
                 required_esn0_db=result.modcod.esn0_db,
             ))
     return edges
+
+
+def columns_from_edges(edges: list[ContactEdge]) -> EdgeColumns:
+    """:class:`EdgeColumns` holding ``edges`` in order (bit-identical)."""
+    count = len(edges)
+    return EdgeColumns(
+        np.fromiter((e.satellite_index for e in edges), np.intp, count),
+        np.fromiter((e.station_index for e in edges), np.intp, count),
+        np.fromiter((e.weight for e in edges), float, count),
+        np.fromiter((e.bitrate_bps for e in edges), float, count),
+        np.fromiter((e.elevation_deg for e in edges), float, count),
+        np.fromiter((e.range_km for e in edges), float, count),
+        np.fromiter((e.required_esn0_db for e in edges), float, count),
+    )
+
+
+# --------------------------------------------------------------------------
+# Per-edge prices: one satellite, one station, one bitrate per call.  Each
+# in-tree value function's vectorized ``edge_values`` must reproduce its
+# reference here bit for bit.
+# --------------------------------------------------------------------------
+
+def prefix_age_value(storage, bits_budget: float, now: datetime) -> float:
+    """Summed age (seconds, chunk-weighted) of the data a link could move.
+
+    The paper's latency value on the subset x that fits in a step: over
+    the send-queue prefix, (chunk age) x (fraction of the chunk that
+    fits), chunk by chunk.
+    """
+    if bits_budget <= 0.0:
+        return 0.0
+    value = 0.0
+    remaining_budget = bits_budget
+    for chunk in storage.onboard_chunks:
+        if remaining_budget <= 0.0:
+            break
+        sendable = min(chunk.remaining_bits, remaining_budget)
+        age_s = max(0.0, (now - chunk.capture_time).total_seconds())
+        value += age_s * (sendable / chunk.size_bits)
+        remaining_budget -= sendable
+    return value
+
+
+def _all_new_fallback(value: float, storage, bitrate_bps: float,
+                      step_s: float, min_age_factor: float) -> float:
+    if value <= 0.0 and storage.backlog_bits > 0.0:
+        # All-new data: value by deliverable volume at a one-step age.
+        deliverable = min(bitrate_bps * step_s, storage.backlog_bits)
+        chunk = storage.peek_sendable()
+        size = chunk.size_bits if chunk is not None else deliverable
+        value = min_age_factor * step_s * deliverable / max(size, 1.0)
+    return value
+
+
+def _latency(vf: LatencyValue, satellite, station_id, bitrate_bps, now,
+             step_s) -> float:
+    if bitrate_bps <= 0.0:
+        return 0.0
+    value = prefix_age_value(satellite.storage, bitrate_bps * step_s, now)
+    return _all_new_fallback(value, satellite.storage, bitrate_bps, step_s,
+                             vf.min_age_factor)
+
+
+def _deadline(vf: DeadlineSlaValue, satellite, station_id, bitrate_bps,
+              now, step_s) -> float:
+    if bitrate_bps <= 0.0:
+        return 0.0
+    storage = satellite.storage
+    weights = vf._slot_weights(now)
+    slot = {tid: k + 1 for k, tid in enumerate(vf._order)}
+    now_us = _microseconds_since_ref(now)
+    left = bitrate_bps * step_s
+    value = 0.0
+    for chunk in storage.onboard_chunks:
+        if left <= 0.0:
+            break
+        sendable = min(chunk.remaining_bits, left)
+        ages = max(
+            0.0,
+            (now_us - _microseconds_since_ref(chunk.capture_time)) / 1e6,
+        )
+        if chunk.deadline is None:
+            pressure = 0.0
+        else:
+            slack_s = (
+                _microseconds_since_ref(chunk.deadline) - now_us
+            ) / 1e6
+            pressure = min(max(
+                (vf.urgency_horizon_s - slack_s) / vf.urgency_horizon_s, 0.0
+            ), 2.0)
+        value = value + weights[slot.get(chunk.tenant_id, 0)] * (
+            ages + vf.urgency_weight_s * pressure
+        ) * (sendable / chunk.size_bits)
+        left = left - sendable
+    return _all_new_fallback(value, storage, bitrate_bps, step_s,
+                             vf.min_age_factor)
+
+
+def _throughput(vf: ThroughputValue, satellite, station_id, bitrate_bps,
+                now, step_s) -> float:
+    if bitrate_bps <= 0.0:
+        return 0.0
+    sendable = satellite.storage.backlog_bits
+    if sendable <= 0.0:
+        return 0.0
+    return min(bitrate_bps * step_s, sendable)
+
+
+def _priority(vf: PriorityValue, satellite, station_id, bitrate_bps, now,
+              step_s) -> float:
+    if bitrate_bps <= 0.0:
+        return 0.0
+    head = satellite.storage.peek_sendable()
+    if head is None:
+        return 0.0
+    age_s = max(step_s, (now - head.capture_time).total_seconds())
+    multiplier = vf.region_multipliers.get(head.region, 1.0)
+    return multiplier * (age_s + vf.priority_weight * head.priority)
+
+
+def _auction(vf: AuctionValue, satellite, station_id, bitrate_bps, now,
+             step_s) -> float:
+    if bitrate_bps <= 0.0 or satellite.storage.backlog_bits <= 0.0:
+        return 0.0
+    bid = vf.bids.get((satellite.satellite_id, station_id), vf.default_bid)
+    deliverable = min(bitrate_bps * step_s, satellite.storage.backlog_bits)
+    return bid * deliverable
+
+
+def _composite(vf: CompositeValue, satellite, station_id, bitrate_bps, now,
+               step_s) -> float:
+    return sum(
+        weight * edge_value(component, satellite, station_id, bitrate_bps,
+                            now, step_s)
+        for component, weight in vf.components
+    )
+
+
+def _anticipated(vf: _AnticipatedGenerationValue, satellite, station_id,
+                 bitrate_bps, now, step_s) -> float:
+    value = edge_value(vf.inner, satellite, station_id, bitrate_bps, now,
+                       step_s)
+    if value > 0.0 or bitrate_bps <= 0.0:
+        return value
+    elapsed_s = (now - vf.issued_at).total_seconds()
+    if elapsed_s <= 0.0:
+        return 0.0
+    rate_bits_s = satellite.generation_gb_per_day * 8e9 / 86400.0
+    anticipated_bits = rate_bits_s * elapsed_s
+    if anticipated_bits <= 0.0:
+        return 0.0
+    deliverable = min(bitrate_bps * step_s, anticipated_bits)
+    chunk_bits = satellite.chunk_size_gb * 8e9
+    return vf.DISCOUNT * (elapsed_s / 2.0) * deliverable / chunk_bits
+
+
+def _per_edge(vf: PerEdgeValue, satellite, station_id, bitrate_bps, now,
+              step_s) -> float:
+    return edge_value(vf.inner, satellite, station_id, bitrate_bps, now,
+                      step_s)
+
+
+_REFERENCES = {
+    LatencyValue: _latency,
+    DeadlineSlaValue: _deadline,
+    ThroughputValue: _throughput,
+    PriorityValue: _priority,
+    AuctionValue: _auction,
+    CompositeValue: _composite,
+    _AnticipatedGenerationValue: _anticipated,
+    PerEdgeValue: _per_edge,
+}
+
+
+def edge_value(value_function, satellite, station_id: str,
+               bitrate_bps: float, now: datetime, step_s: float) -> float:
+    """The per-edge price of ``value_function`` for one step.
+
+    The scalar reference of an in-tree value function; a user's value
+    function is asked through its own ``edge_value``.
+    """
+    reference = _REFERENCES.get(type(value_function))
+    if reference is None:
+        return value_function.edge_value(
+            satellite, station_id, bitrate_bps, now, step_s
+        )
+    return reference(value_function, satellite, station_id, bitrate_bps,
+                     now, step_s)
+
+
+def price_one_edge(value_function, satellite, station_id: str,
+                   bitrate_bps: float, now: datetime,
+                   step_s: float) -> float:
+    """One edge priced by production ``edge_values`` and by the reference.
+
+    ``satellite`` needs only a ``storage`` (and a ``satellite_id`` for
+    bids).  Asserts that the two prices agree bit for bit, and returns
+    it.
+    """
+    profile = FleetQueueProfile([satellite], [station_id])
+    profile.refresh(np.arange(1))
+    priced = value_function.edge_values(
+        profile, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp),
+        np.array([bitrate_bps], dtype=float), now, step_s,
+    )
+    reference = edge_value(value_function, satellite, station_id,
+                           bitrate_bps, now, step_s)
+    assert np.array([reference], dtype=float).tobytes() == priced.tobytes(), \
+        (reference, priced)
+    return float(priced[0])
 
 
 def _forecast_fn(provider, issued_at: datetime | None):
@@ -225,9 +456,8 @@ def oracle_contact_graph(scheduler, when: datetime,
         scheduler.require_current_plan, scheduler.plan_max_age_s,
         weight_factor,
     )
-    return ContactGraph(when, edges=edges,
-                        num_satellites=len(scheduler.satellites),
-                        num_stations=len(network))
+    return ContactGraph(when, columns_from_edges(edges),
+                        len(scheduler.satellites), len(network))
 
 
 def use_oracle(scheduler):

@@ -139,3 +139,103 @@ class TestEngineIntegration:
         # Batteries were actually integrated.
         assert any(s.power.energy_wh < s.power.battery_capacity_wh
                    or s.power.state_of_charge == 1.0 for s in sats)
+
+
+class TestDarkStationPower:
+    """The battery gates, and is charged for, transmissions to dark stations.
+
+    With unannounced outages the scheduler still matches satellites to
+    the dark stations and each satellite transmits per plan, every bit
+    wasted.  Those transmissions go through the same power gate as the
+    ones that land.
+    """
+
+    @staticmethod
+    def _run(small_tles, power, announced):
+        from datetime import datetime, timedelta
+
+        from repro.groundstations.network import satnogs_like_network
+        from repro.satellites.satellite import Satellite
+        from repro.scheduling.value_functions import LatencyValue
+        from repro.simulation.config import SimulationConfig
+        from repro.simulation.engine import Simulation
+        from repro.simulation.faults import Outage, OutageSchedule
+
+        epoch = datetime(2020, 6, 1)
+        sats = [Satellite(tle=t, chunk_size_gb=0.5, power=power())
+                for t in small_tles[:4]]
+        network = satnogs_like_network(15, seed=13)
+        hours = 2
+        # Every station is dark for the whole run.
+        outages = OutageSchedule([
+            Outage(station.station_id, epoch,
+                   epoch + timedelta(hours=hours))
+            for station in network
+        ])
+        sim = Simulation(
+            satellites=sats, network=network,
+            value_function=LatencyValue(),
+            config=SimulationConfig(start=epoch, duration_s=hours * 3600.0),
+            outages=outages, outages_announced=announced,
+        )
+        return sim, sim.run(), sats
+
+    def test_drained_battery_sends_nothing_to_a_dark_station(self, small_tles):
+        sim, report, _sats = self._run(
+            small_tles, lambda: PowerModel(energy_wh=0.0, panel_watts=0.0),
+            announced=False,
+        )
+        assert report.delivered_bits == 0.0
+        assert report.lost_transmission_bits == 0.0
+        assert sim.power_blocked_steps > 0
+
+    def test_transmission_to_a_dark_station_is_charged(self, small_tles):
+        # Announced outages prune every edge, so nothing transmits; an
+        # unannounced one lets the satellites transmit, and pay for it.
+        _sim, idle, idle_sats = self._run(small_tles, PowerModel,
+                                          announced=True)
+        _sim, wasted, wasted_sats = self._run(small_tles, PowerModel,
+                                              announced=False)
+        assert idle.lost_transmission_bits == 0.0
+        assert wasted.lost_transmission_bits > 0.0
+        assert sum(s.power.energy_wh for s in wasted_sats) < \
+            sum(s.power.energy_wh for s in idle_sats)
+
+    def test_drained_battery_skips_a_misaligned_planned_contact(
+            self, small_tles):
+        # The satellite holds an older plan than the stations follow, so
+        # its planned contact falls on a dish pointed elsewhere.
+        from datetime import datetime, timedelta
+
+        from repro.groundstations.network import satnogs_like_network
+        from repro.satellites.satellite import Satellite
+        from repro.scheduling.scheduler import DownlinkPlan, SatellitePlanEntry
+        from repro.scheduling.value_functions import LatencyValue
+        from repro.simulation.config import SimulationConfig
+        from repro.simulation.engine import Simulation
+
+        epoch = datetime(2020, 6, 1)
+        sat = Satellite(tle=small_tles[0], chunk_size_gb=0.5,
+                        power=PowerModel(energy_wh=0.0, panel_watts=0.0))
+        sat.generate_data(epoch - timedelta(hours=1), 3600.0)
+        sim = Simulation(
+            satellites=[sat], network=satnogs_like_network(15, seed=13),
+            value_function=LatencyValue(),
+            config=SimulationConfig(start=epoch, duration_s=3600.0,
+                                    execution_mode="planned"),
+        )
+        sim._latest_plan = DownlinkPlan(issued_at=epoch, horizon_s=3600.0)
+        sim._next_plan_issue = epoch + timedelta(hours=1)
+        sim._satellite_plans[0] = DownlinkPlan(
+            issued_at=epoch - timedelta(hours=1), horizon_s=7200.0,
+            entries={0: [SatellitePlanEntry(start=epoch, station_index=0,
+                                            expected_bitrate_bps=1e8)]},
+        )
+        backlog = sat.storage.backlog_bits
+
+        sim._planned_step(epoch)
+
+        assert sim.plan_mismatch_steps == 1
+        assert sim.power_blocked_steps == 1
+        assert sat.storage.backlog_bits == backlog
+        assert sim.metrics.lost_transmission_bits == 0.0

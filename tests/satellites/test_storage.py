@@ -1,12 +1,16 @@
 """Tests for the onboard storage priority queue and ack bookkeeping."""
 
 from datetime import datetime, timedelta
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.satellites.data import ChunkState, DataChunk
 from repro.satellites.storage import OnboardStorage, highest_priority_first
+from repro.scheduling.value_functions import FleetQueueProfile
+from tests.oracle import prefix_age_value
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -173,19 +177,36 @@ class TestAccounting:
             OnboardStorage(capacity_bits=0.0)
 
 
+def _prefix_value(storage, bits_budget, now):
+    """The queue prefix's age value, from the fleet profile and the reference.
+
+    Asserts that production (``FleetQueueProfile.prefix_age_values``)
+    and the per-chunk reference in ``tests/oracle.py`` agree bit for
+    bit, and returns the value.
+    """
+    profile = FleetQueueProfile([SimpleNamespace(storage=storage)])
+    profile.refresh(np.arange(1))
+    priced = profile.prefix_age_values(
+        np.zeros(1, dtype=np.intp), np.array([bits_budget]), now
+    )
+    reference = prefix_age_value(storage, bits_budget, now)
+    assert np.array([reference]).tobytes() == priced.tobytes()
+    return reference
+
+
 class TestPrefixAgeValue:
     def test_zero_budget_zero_value(self):
         storage = OnboardStorage()
         storage.capture(chunk_at(0))
-        assert storage.prefix_age_value(0.0, EPOCH + timedelta(hours=1)) == 0.0
+        assert _prefix_value(storage, 0.0, EPOCH + timedelta(hours=1)) == 0.0
 
     def test_value_scales_with_budget(self):
         storage = OnboardStorage()
         for minute in (0, 10, 20):
             storage.capture(chunk_at(minute, 1000.0))
         now = EPOCH + timedelta(hours=2)
-        small = storage.prefix_age_value(1000.0, now)
-        large = storage.prefix_age_value(3000.0, now)
+        small = _prefix_value(storage, 1000.0, now)
+        large = _prefix_value(storage, 3000.0, now)
         assert large > small
 
     def test_older_queue_more_valuable(self):
@@ -193,7 +214,7 @@ class TestPrefixAgeValue:
         fresh.capture(chunk_at(110, 1000.0))
         stale.capture(chunk_at(0, 1000.0))
         now = EPOCH + timedelta(hours=2)
-        assert stale.prefix_age_value(1000.0, now) > fresh.prefix_age_value(1000.0, now)
+        assert _prefix_value(stale, 1000.0, now) > _prefix_value(fresh, 1000.0, now)
 
     def test_prefix_is_oldest_data(self):
         storage = OnboardStorage()
@@ -201,5 +222,5 @@ class TestPrefixAgeValue:
         storage.capture(chunk_at(60, 1000.0))
         now = EPOCH + timedelta(hours=2)
         # Budget for exactly one chunk: the value should be the older age.
-        value = storage.prefix_age_value(1000.0, now)
+        value = _prefix_value(storage, 1000.0, now)
         assert value == pytest.approx(7200.0)

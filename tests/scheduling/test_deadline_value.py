@@ -1,9 +1,10 @@
 """Tests for the tenant-priced DeadlineSlaValue.
 
-Scalar semantics first (weights, urgency pressure, quota discounting),
-then the contract the batched pipeline must honor: ``edge_values`` is
-bit-identical to the per-edge scalar method, at graph level and through
-a full simulation.
+Per-edge semantics first (weights, urgency pressure, quota discounting),
+each price taken through ``edge_values`` and the per-edge reference in
+``tests/oracle.py`` at once; then the contract the batched pipeline must
+honor: production graphs and reports are bit-identical to the oracle's,
+which prices every pair with the reference.
 """
 
 from datetime import datetime, timedelta
@@ -16,6 +17,7 @@ from repro.groundstations.network import satnogs_like_network
 from repro.orbits.constellation import synthetic_leo_constellation
 from repro.orbits.ephemeris import clear_ephemeris_cache
 from repro.satellites.data import DataChunk
+from repro.satellites.storage import OnboardStorage
 from repro.satellites.satellite import Satellite
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import DeadlineSlaValue
@@ -23,7 +25,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
-from tests.oracle import use_oracle
+from tests.oracle import price_one_edge, use_oracle
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -34,13 +36,10 @@ TENANTS = (
 
 
 def _satellite_with(chunks):
-    chunks = list(chunks)
-    storage = SimpleNamespace(
-        onboard_chunks=chunks,
-        backlog_bits=sum(c.remaining_bits for c in chunks),
-        peek_sendable=lambda: chunks[0] if chunks else None,
-    )
-    return SimpleNamespace(storage=storage)
+    storage = OnboardStorage()
+    for chunk in chunks:
+        storage.capture(chunk)
+    return SimpleNamespace(storage=storage, satellite_id="sat-1")
 
 
 def _chunk(tenant_id="", age_s=600.0, deadline_in_s=None, size_bits=4e9,
@@ -65,7 +64,7 @@ class TestScalarSemantics:
     def test_zero_bitrate_prices_zero(self):
         value = DeadlineSlaValue(tenants=TENANTS)
         sat = _satellite_with([_chunk("gold", deadline_in_s=7200.0)])
-        assert value.edge_value(sat, "gs", 0.0, EPOCH, 60.0) == 0.0
+        assert price_one_edge(value, sat, "gs", 0.0, EPOCH, 60.0) == 0.0
 
     def test_tenant_weight_scales_price(self):
         value = DeadlineSlaValue(tenants=TENANTS)
@@ -73,16 +72,16 @@ class TestScalarSemantics:
         # ratio between the tenants is exactly the weight ratio.
         gold = _satellite_with([_chunk("gold", deadline_in_s=7200.0)])
         base = _satellite_with([_chunk("base", deadline_in_s=7200.0)])
-        v_gold = value.edge_value(gold, "gs", 1e6, EPOCH, 60.0)
-        v_base = value.edge_value(base, "gs", 1e6, EPOCH, 60.0)
+        v_gold = price_one_edge(value, gold, "gs", 1e6, EPOCH, 60.0)
+        v_base = price_one_edge(value, base, "gs", 1e6, EPOCH, 60.0)
         assert v_gold == pytest.approx(4.0 * v_base)
 
     def test_deadline_pressure_adds_urgency(self):
         value = DeadlineSlaValue(tenants=TENANTS)
         relaxed = _satellite_with([_chunk("base", deadline_in_s=86400.0)])
         due_now = _satellite_with([_chunk("base", deadline_in_s=0.0)])
-        v_relaxed = value.edge_value(relaxed, "gs", 1e6, EPOCH, 60.0)
-        v_due = value.edge_value(due_now, "gs", 1e6, EPOCH, 60.0)
+        v_relaxed = price_one_edge(value, relaxed, "gs", 1e6, EPOCH, 60.0)
+        v_due = price_one_edge(value, due_now, "gs", 1e6, EPOCH, 60.0)
         # Pressure at the deadline is exactly 1: one urgency_weight_s of
         # effective extra age, scaled by the sendable fraction.
         sendable_fraction = 1e6 * 60.0 / 4e9
@@ -97,16 +96,16 @@ class TestScalarSemantics:
         ancient = _satellite_with(
             [_chunk("base", deadline_in_s=-10 * value.urgency_horizon_s)]
         )
-        v_overdue = value.edge_value(overdue, "gs", 1e6, EPOCH, 60.0)
-        v_ancient = value.edge_value(ancient, "gs", 1e6, EPOCH, 60.0)
+        v_overdue = price_one_edge(value, overdue, "gs", 1e6, EPOCH, 60.0)
+        v_ancient = price_one_edge(value, ancient, "gs", 1e6, EPOCH, 60.0)
         assert v_overdue == pytest.approx(v_ancient)
 
     def test_untenanted_chunk_prices_at_unit_weight(self):
         value = DeadlineSlaValue(tenants=TENANTS)
         plain = _satellite_with([_chunk("")])
         base = _satellite_with([_chunk("base", deadline_in_s=86400.0)])
-        assert value.edge_value(plain, "gs", 1e6, EPOCH, 60.0) == \
-            pytest.approx(value.edge_value(base, "gs", 1e6, EPOCH, 60.0))
+        assert price_one_edge(value, plain, "gs", 1e6, EPOCH, 60.0) == \
+            pytest.approx(price_one_edge(value, base, "gs", 1e6, EPOCH, 60.0))
 
     def test_over_quota_tenant_discounted(self):
         class _Ledger:
@@ -116,15 +115,15 @@ class TestScalarSemantics:
         priced = DeadlineSlaValue(tenants=TENANTS, accountant=_Ledger())
         free = DeadlineSlaValue(tenants=TENANTS)
         sat = _satellite_with([_chunk("gold", deadline_in_s=7200.0)])
-        discounted = priced.edge_value(sat, "gs", 1e6, EPOCH, 60.0)
-        full = free.edge_value(sat, "gs", 1e6, EPOCH, 60.0)
+        discounted = price_one_edge(priced, sat, "gs", 1e6, EPOCH, 60.0)
+        full = price_one_edge(free, sat, "gs", 1e6, EPOCH, 60.0)
         assert discounted == pytest.approx(priced.over_quota_factor * full)
 
     def test_all_new_data_fallback(self):
         value = DeadlineSlaValue(tenants=TENANTS)
         sat = _satellite_with([_chunk("base", age_s=0.0,
                                       deadline_in_s=86400.0)])
-        priced = value.edge_value(sat, "gs", 1e6, EPOCH, 60.0)
+        priced = price_one_edge(value, sat, "gs", 1e6, EPOCH, 60.0)
         deliverable = 1e6 * 60.0
         assert priced == pytest.approx(
             value.min_age_factor * 60.0 * deliverable / 4e9

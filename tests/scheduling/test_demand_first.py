@@ -1,20 +1,23 @@
 """Demand-first pricing: only pairs whose satellite holds data are priced.
 
-The batched pricing tail refreshes the fleet queue profile for the
-satellites in view and drops every pair whose satellite has nothing
-queued before the link-budget kernel runs.  That is exact because every
-vectorized ``edge_values`` prices an empty queue at 0.0 and zero-weight
-edges are never kept.  These tests pin the pieces of that contract:
+The pricing tail refreshes the fleet queue profile for the satellites in
+view and, when the value function declares ``zero_on_empty_queue``,
+drops every pair whose satellite has nothing queued before the
+link-budget kernel runs.  That is exact because such an ``edge_values``
+prices an empty queue at 0.0 and zero-weight edges are never kept.
+These tests pin the pieces of that contract:
 
-* each vectorized ``edge_values`` returns exactly 0.0 for an empty queue,
-  whatever the bitrate, the instant, the other satellites' queues or the
+* every in-tree value function declares ``zero_on_empty_queue`` and its
+  ``edge_values`` returns exactly 0.0 for an empty queue, whatever the
+  bitrate, the station, the instant, the other satellites' queues or the
   tenants' quota state;
 * with a mix of empty and loaded satellites in view, production graphs
   equal the scalar oracle's edge for edge, and the weather cache sees
   the same samples (weather is sampled for every feasible station,
   before the demand mask);
-* the scalar path still prices every pair: ``build_plan`` books contacts
-  for empty-queue satellites through its anticipated-generation value.
+* a value function that does not declare it has every pair priced:
+  ``build_plan`` books contacts for empty-queue satellites through its
+  anticipated-generation value.
 """
 
 from datetime import datetime, timedelta
@@ -33,9 +36,12 @@ from repro.orbits.ephemeris import clear_ephemeris_cache, shared_ephemeris_table
 from repro.satellites.satellite import Satellite
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import (
+    AuctionValue,
+    CompositeValue,
     DeadlineSlaValue,
     FleetQueueProfile,
     LatencyValue,
+    PriorityValue,
     ThroughputValue,
 )
 from repro.scheduling.windows import (
@@ -77,7 +83,20 @@ def _value(name: str, over_quota=(TENANT_IDS[0],)):
         return LatencyValue()
     if name == "deadline":
         return DeadlineSlaValue(tenants=MIX, accountant=_Quota(over_quota))
+    if name == "priority":
+        return PriorityValue(region_multipliers={"": 2.0})
+    if name == "auction":
+        return AuctionValue(default_bid=3.0)
+    if name == "composite":
+        return CompositeValue((
+            (_value("deadline", over_quota), 0.5), (ThroughputValue(), 1e-6),
+            (PriorityValue(), 2.0),
+        ))
     return ThroughputValue()
+
+
+VALUE_NAMES = ["latency", "deadline", "throughput", "priority", "auction",
+               "composite"]
 
 
 def _stamp(satellites):
@@ -87,7 +106,7 @@ def _stamp(satellites):
         sat.demand = assigner
 
 
-# -- (a) the zero contract of every vectorized edge_values ------------------
+# -- (a) the zero contract of every in-tree edge_values ---------------------
 
 _TLES = synthetic_leo_constellation(6, EPOCH, seed=21)
 
@@ -110,9 +129,10 @@ def _pricing_cases(draw):
     hours[empty] = 0.0
     if hours[loaded] == 0.0:
         hours[loaded] = 2.0
-    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), _bitrates),
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, 2), _bitrates),
                           max_size=15))
-    edges.append((empty, draw(_bitrates)))
+    edges.append((empty, draw(st.integers(0, 2)), draw(_bitrates)))
     # ``now`` from a day before the first capture to days after the last.
     offset_s = draw(st.one_of(
         st.sampled_from([-86400.0, -1.0, 0.0, 1.0, 7200.0, 5 * 86400.0]),
@@ -126,7 +146,7 @@ class TestEmptyQueuePricesZero:
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=_pricing_cases(),
-           name=st.sampled_from(["latency", "deadline", "throughput"]))
+           name=st.sampled_from(VALUE_NAMES))
     def test_edge_values_zero_for_empty_queue(self, case, name):
         hours, edges, offset_s, over_quota = case
         satellites = [Satellite(tle=_TLES[i], chunk_size_gb=0.5)
@@ -135,14 +155,17 @@ class TestEmptyQueuePricesZero:
         for sat, h in zip(satellites, hours):
             if h:
                 sat.generate_data(EPOCH, 3600.0 * h)
-        profile = FleetQueueProfile(satellites)
+        profile = FleetQueueProfile(satellites, ("gs-0", "gs-1", "gs-2"))
         profile.refresh(np.arange(len(satellites)))
-        sat_idx = np.array([i for i, _ in edges], dtype=np.intp)
-        bitrate = np.array([b for _, b in edges])
+        sat_idx = np.array([i for i, _, _ in edges], dtype=np.intp)
+        gs_idx = np.array([j for _, j, _ in edges], dtype=np.intp)
+        bitrate = np.array([b for _, _, b in edges])
         now = EPOCH + timedelta(seconds=offset_s)
 
-        values = _value(name, over_quota).edge_values(
-            profile, sat_idx, bitrate, now, STEP_S
+        value_function = _value(name, over_quota)
+        assert value_function.zero_on_empty_queue
+        values = value_function.edge_values(
+            profile, sat_idx, gs_idx, bitrate, now, STEP_S
         )
 
         empty = profile.counts_of(sat_idx) == 0
@@ -188,7 +211,7 @@ def _cache_state(scheduler):
 
 class TestMixedQueuesMatchOracle:
     @pytest.mark.parametrize("mode", ["plain", "outage", "bitmap", "plan"])
-    @pytest.mark.parametrize("name", ["latency", "deadline", "throughput"])
+    @pytest.mark.parametrize("name", VALUE_NAMES)
     def test_graphs_and_weather_match_oracle(self, name, mode):
         satellites = _mixed_fleet()
         network = satnogs_like_network(30, seed=13)
@@ -276,7 +299,7 @@ class TestMixedQueuesMatchOracle:
         assert 0 < counts["priced_pairs"] == priced < visible
 
 
-# -- (c) the scalar path prices empty queues: anticipated generation -------
+# -- (c) undeclared value functions price empty queues: anticipation ------
 
 class TestPlanBooksEmptyQueues:
     def test_build_plan_books_empty_queue_satellites(self):

@@ -4,6 +4,7 @@ from datetime import datetime
 
 from repro.scheduling.graph import ContactEdge, ContactGraph
 from repro.scheduling.matching import Assignment, diversity_groups
+from tests.oracle import columns_from_edges
 
 import pytest
 
@@ -21,7 +22,7 @@ def _edge(sat: int, gs: int, weight: float) -> ContactEdge:
 def _graph(edges) -> ContactGraph:
     sats = max(e.satellite_index for e in edges) + 1
     stations = max(e.station_index for e in edges) + 1
-    return ContactGraph(WHEN, edges=list(edges),
+    return ContactGraph(WHEN, columns_from_edges(list(edges)),
                         num_satellites=sats, num_stations=stations)
 
 

@@ -14,6 +14,7 @@ from repro.scheduling.matching import (
     is_stable,
     max_weight_matching,
 )
+from tests.oracle import columns_from_edges
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -29,8 +30,8 @@ def make_graph(edge_spec, num_sats=None, num_stations=None):
         num_sats = 1 + max((s for s, _g, _w in edge_spec), default=0)
     if num_stations is None:
         num_stations = 1 + max((g for _s, g, _w in edge_spec), default=0)
-    return ContactGraph(when=EPOCH, edges=edges, num_satellites=num_sats,
-                        num_stations=num_stations)
+    return ContactGraph(EPOCH, columns_from_edges(edges),
+                        num_satellites=num_sats, num_stations=num_stations)
 
 
 def assert_valid(graph, assignments, capacities=None):
@@ -325,7 +326,7 @@ class TestMaxWeightMatchingOracle:
                                       rel=1e-9, abs=1e-12)
         sats = [a.satellite_index for a in assignments]
         assert sats == sorted(sats)
-        again = ContactGraph(when=EPOCH, edges=list(graph.edges),
+        again = ContactGraph(EPOCH, columns_from_edges(graph.edges),
                              num_satellites=graph.num_satellites,
                              num_stations=graph.num_stations)
         assert max_weight_matching(again, caps) == assignments
